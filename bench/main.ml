@@ -111,8 +111,8 @@ let req ?(cfg = Dae_sim.Config.default) ?partition ~kernel ~arch mk =
     r_mk = mk;
   }
 
-(* config-dependent but simulation-free derivations shared by the fused
-   and re-timed paths *)
+(* config-dependent but simulation-free derivations shared by the
+   single-point and re-timed paths *)
 let pipeline_facts ~cfg (p : Dae_core.Pipeline.t option) =
   let pblk, pcall =
     match p with
@@ -146,7 +146,7 @@ let pipeline_facts ~cfg (p : Dae_core.Pipeline.t option) =
   in
   (pblk, pcall, check_errors, check_warnings, min_depths, sizing_verdict)
 
-let run_req_fused (r : sim_req) : sim_out =
+let run_req_single (r : sim_req) : sim_out =
   let t0 = Unix.gettimeofday () in
   let g0 = Gc.quick_stat () in
   let k = r.r_mk () in
@@ -200,9 +200,10 @@ let run_req_fused (r : sim_req) : sim_out =
    several cache/DRAM points. Route them through Retime — one prepare per
    (kernel, arch, partition) per domain, each point a cheap trace replay —
    and memoize the replayed verdicts in the on-disk result cache, so a
-   warm bench run re-times nothing. Retime.simulate is cycle- and
-   partition-identical to the fused Machine.simulate (pinned by
-   test/test_retime.ml), so the "key cycles" goldens cannot drift. *)
+   warm bench run re-times nothing. Machine.simulate is itself
+   Retime.plan + prepare + simulate, so sharing one prepare across points
+   replays exactly what a per-point Machine.simulate would, and the
+   "key cycles" goldens cannot drift. *)
 
 (* set by the driver from --no-cache / --cache-dir before the pool runs *)
 let bench_cache = ref (Dae_sim.Cache.disabled ())
@@ -243,8 +244,8 @@ let prepared_for =
           ~mem:(k.Kernels.init_mem ())
       in
       (* reference-check the functional execution once; every re-timed
-         point shares this memory, exactly as the fused path's per-point
-         check would see it *)
+         point shares this memory, exactly as the single-point path's
+         per-point check would see it *)
       (match k.Kernels.check (Dae_sim.Retime.final_memory prepared) with
       | Ok () -> ()
       | Error msg ->
@@ -348,7 +349,7 @@ let run_req_retimed (r : sim_req) : sim_out =
   }
 
 let run_req (r : sim_req) : sim_out =
-  if retimeable r then run_req_retimed r else run_req_fused r
+  if retimeable r then run_req_retimed r else run_req_single r
 
 (* Filled once by the pool; sections read it through [get]. *)
 let table : (string, sim_out) Hashtbl.t = Hashtbl.create 128
@@ -1155,19 +1156,7 @@ let bench4_suite_wall_s = 87.390
 let bench5_suite_wall_s = 45.455
 let bench5_suite_jobs = 93
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Dae_sim.Json
 
 let pool_json (s : Dae_sim.Runner.pool_stats) =
   Printf.sprintf
@@ -1222,7 +1211,7 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
   p "  \"schema\": \"dae-bench/1\",\n";
   p "  \"sections\": [%s],\n"
     (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) sections));
+       (List.map (fun s -> Printf.sprintf "\"%s\"" (Json.escape s)) sections));
   p "  \"domains\": %d,\n" domains;
   p "  \"jobs\": %d,\n" (List.length outs);
   p "  \"wall_s\": %.3f,\n" wall_s;
@@ -1237,7 +1226,7 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
             Printf.sprintf
               "{ \"section\": \"%s\", \"jobs\": %d, \"sim_wall_s\": %.3f, \
                \"print_wall_s\": %.3f }"
-              (json_escape name) jobs sim_s print_s)
+              (Json.escape name) jobs sim_s print_s)
           section_stats));
   (match !sweep_summaries with
   | [] -> ()
@@ -1256,7 +1245,7 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
               Printf.sprintf
                 "{ \"kernel\": \"%s\", \"mode\": \"%s\", \"sources\": %d, \
                  \"sites\": %d, \"speculative_sites\": %d, \"clean\": %b }"
-                (json_escape kernel) (json_escape mode)
+                (Json.escape kernel) (Json.escape mode)
                 (List.length t.Dae_analysis.Taint.sources)
                 (List.length t.Dae_analysis.Taint.sites)
                 (List.length
@@ -1279,7 +1268,7 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
     String.concat ", "
       (List.map
          (fun (unit, c) ->
-           Printf.sprintf "\"%s\": { %s }" (json_escape unit)
+           Printf.sprintf "\"%s\": { %s }" (Json.escape unit)
              (String.concat ", "
                 (List.filter_map
                    (fun (cause, n) ->
@@ -1301,14 +1290,14 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
          \"stats\": { %s }, \"gc\": { \"minor_words\": %.0f, \
          \"major_words\": %.0f, \"minor_collections\": %d, \
          \"major_collections\": %d }, \"wall_s\": %.6f }%s\n"
-        (json_escape key) (json_escape o.o_kernel) (json_escape o.o_arch)
-        (json_escape o.o_cfg) o.o_cycles o.o_misspec o.o_area_total
+        (Json.escape key) (Json.escape o.o_kernel) (Json.escape o.o_arch)
+        (Json.escape o.o_cfg) o.o_cycles o.o_misspec o.o_area_total
         o.o_area_cu o.o_area_agu o.o_pblk o.o_pcall o.o_killed o.o_committed
         o.o_check_errors o.o_check_warnings
-        (json_escape o.o_sizing_verdict)
+        (Json.escape o.o_sizing_verdict)
         (String.concat ", "
            (List.map
-              (fun (n, d) -> Printf.sprintf "\"%s\": %d" (json_escape n) d)
+              (fun (n, d) -> Printf.sprintf "\"%s\": %d" (Json.escape n) d)
               o.o_min_depths))
         (stats_json o.o_stats) o.o_gc_minor_words o.o_gc_major_words
         o.o_gc_minor_collections o.o_gc_major_collections o.o_wall_s

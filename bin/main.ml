@@ -49,47 +49,7 @@ let load_func ~file ~kernel =
   | Some _, Some _ -> Error "give either a file or --kernel, not both"
   | None, None -> Error "give an IR file or --kernel NAME"
 
-(* --- JSON ------------------------------------------------------------------- *)
-
-(* One tiny emitter shared by `stats --json` and `leak --json`, so the two
-   machine-readable outputs cannot drift apart in escaping or layout. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let rec pp ppf = function
-    | Null -> Fmt.pf ppf "null"
-    | Bool b -> Fmt.pf ppf "%b" b
-    | Int i -> Fmt.pf ppf "%d" i
-    | Str s -> Fmt.pf ppf "\"%s\"" (escape s)
-    | List l -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any ",") pp) l
-    | Obj kvs ->
-      Fmt.pf ppf "{%a}"
-        Fmt.(
-          list ~sep:(any ",") (fun ppf (k, v) ->
-              pf ppf "\"%s\":%a" (escape k) pp v))
-        kvs
-end
+module Json = Dae_sim.Json
 
 (* --- common arguments ------------------------------------------------------ *)
 
@@ -279,20 +239,6 @@ let cfg_of ?(hierarchy = Dae_sim.Config.Scratchpad) ~sq ~lq ~fifo_lat
     Fmt.epr "invalid configuration: %s@." e;
     exit 2
 
-let scheduler_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("wheel", Dae_sim.Timing.Event_wheel);
-             ("calendar", Dae_sim.Timing.Seed_calendar) ])
-        Dae_sim.Timing.Event_wheel
-    & info [ "scheduler" ] ~docv:"SCHED"
-        ~doc:"Timing-engine stall scheduler: wheel (the incremental event \
-              wheel, default) or calendar (the seed clear-and-rescan \
-              reference). Bit-identical results — the CI determinism \
-              check diffs the two.")
-
 let cache_dir_arg =
   Arg.(value & opt string Dae_sim.Cache.default_dir
        & info [ "cache-dir" ] ~docv:"DIR"
@@ -430,7 +376,7 @@ let compile_cmd =
 
 let run_cmd =
   let run file kernel archs all sq lq fifo_lat req_fifo val_fifo stv_fifo
-      hierarchy jobs scheduler =
+      hierarchy jobs =
     match load_func ~file ~kernel with
     | Error e ->
       Fmt.epr "%s@." e;
@@ -450,7 +396,7 @@ let run_cmd =
       Dae_sim.Runner.map_list ~domains:jobs
         ~f:(fun arch ->
           let r =
-            Dae_sim.Machine.simulate ~cfg ~scheduler arch
+            Dae_sim.Machine.simulate ~cfg arch
               (k.Dae_workloads.Kernels.build ())
               ~invocations:(k.Dae_workloads.Kernels.invocations ())
               ~mem:(k.Dae_workloads.Kernels.init_mem ())
@@ -475,7 +421,7 @@ let run_cmd =
     Term.(
       const run $ file_arg $ kernel_arg $ archs_arg $ all_arg $ sq_arg
       $ lq_arg $ fifo_lat_arg $ req_fifo_arg $ val_fifo_arg $ stv_fifo_arg
-      $ hierarchy_term $ jobs_arg $ scheduler_arg)
+      $ hierarchy_term $ jobs_arg)
 
 (* --- stats --------------------------------------------------------------------- *)
 
@@ -503,7 +449,7 @@ let stats_json ~kernel ~cfg (arch, (r : Dae_sim.Machine.result)) =
 
 let stats_cmd =
   let run file kernel archs all sq lq fifo_lat req_fifo val_fifo stv_fifo
-      hierarchy jobs scheduler json =
+      hierarchy jobs json =
     match load_func ~file ~kernel with
     | Error e ->
       Fmt.epr "%s@." e;
@@ -523,7 +469,7 @@ let stats_cmd =
         Dae_sim.Runner.map_list ~domains:jobs
           ~f:(fun arch ->
             ( arch,
-              Dae_sim.Machine.simulate ~cfg ~scheduler arch
+              Dae_sim.Machine.simulate ~cfg arch
                 (k.Dae_workloads.Kernels.build ())
                 ~invocations:(k.Dae_workloads.Kernels.invocations ())
                 ~mem:(k.Dae_workloads.Kernels.init_mem ()) ))
@@ -560,7 +506,7 @@ let stats_cmd =
     Term.(
       const run $ file_arg $ kernel_arg $ archs_arg $ all_arg $ sq_arg
       $ lq_arg $ fifo_lat_arg $ req_fifo_arg $ val_fifo_arg $ stv_fifo_arg
-      $ hierarchy_term $ jobs_arg $ scheduler_arg $ json_arg)
+      $ hierarchy_term $ jobs_arg $ json_arg)
 
 (* --- trace --------------------------------------------------------------------- *)
 
@@ -1522,9 +1468,10 @@ let sweep_cmd =
     Arg.(value & opt int 1
          & info [ "check" ] ~docv:"N"
              ~doc:"Sampled equivalence audits per (kernel, arch) job: \
-                   re-run the fused co-simulation at $(docv) swept \
-                   configurations and require bit-identical cycles and \
-                   stall partitions. 0 disables.")
+                   re-simulate $(docv) swept configurations from \
+                   scratch (fresh plan, prepare and replay) and require \
+                   bit-identical cycles and stall partitions. 0 \
+                   disables.")
   in
   let no_sizing_check_arg =
     Arg.(value & flag

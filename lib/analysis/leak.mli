@@ -68,7 +68,7 @@ val search :
     copied, never mutated. Probes that fail to
     replay (or whose final memories differ beyond the secret cell) are
     counted in [l_skipped], never reported as witnesses.
-    @raise Dae_sim.Machine.Check_failed (and the {!Dae_sim.Exec}
+    @raise Dae_sim.Retime.Check_failed (and the {!Dae_sim.Exec}
     exceptions) when the *base* program itself fails to execute. *)
 
 val found : t -> bool

@@ -1,7 +1,7 @@
 (* Static channel sizing and deadlock-freedom.
 
    The abstract causality replay mirrors exactly the blocking structure of
-   Timing.run while erasing time: a unit retires its next events within
+   Timing.run_units while erasing time: a unit retires its next events within
    the same out-of-order scan window, in order per channel; a send needs
    channel slack, a consume needs a token; the DU applies store values in
    allocation order, pops resolved heads, admits requests against LSQ

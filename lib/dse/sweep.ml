@@ -6,7 +6,7 @@
    executes a single instruction, and a fully cold job executes each
    invocation exactly once for the whole grid. Points carry their full
    stall partition so cached results remain cross-checkable bit-for-bit
-   against a fresh fused simulation. *)
+   against a fresh simulation. *)
 
 open Dae_ir
 module Machine = Dae_sim.Machine
@@ -210,8 +210,10 @@ let point_of_cached w arch cfg_key (cp : cached_point) ~cached =
     pt_cached = cached;
   }
 
-(* Replay one swept point through the fused Machine.simulate and compare
-   verdict, cycles, kill/commit counts and the whole stall partition. *)
+(* Re-run one swept point from scratch — a fresh Machine.simulate, i.e.
+   plan + prepare + simulate, sharing neither the cache nor the job's
+   prepared traces — and compare verdict, cycles, kill/commit counts and
+   the whole stall partition. *)
 let cross_check w (cfg, (pt : point)) =
   let full =
     match
@@ -234,7 +236,7 @@ let cross_check w (cfg, (pt : point)) =
   match (pt.pt_status, full.cp_status) with
   | Deadlock, Deadlock -> Ok ()
   | Cycles a, Cycles b when a <> b ->
-    Error (Fmt.str "%s: re-timed %d cycles, fused %d" where a b)
+    Error (Fmt.str "%s: swept %d cycles, fresh %d" where a b)
   | Cycles _, Cycles _ ->
     if pt.pt_killed <> full.cp_killed || pt.pt_committed <> full.cp_committed
     then Error (Fmt.str "%s: kill/commit counts diverge" where)
@@ -242,9 +244,9 @@ let cross_check w (cfg, (pt : point)) =
       Error (Fmt.str "%s: stall partitions diverge" where)
     else Ok ()
   | Cycles c, Deadlock ->
-    Error (Fmt.str "%s: re-timed %d cycles, fused deadlocks" where c)
+    Error (Fmt.str "%s: swept %d cycles, fresh run deadlocks" where c)
   | Deadlock, Cycles c ->
-    Error (Fmt.str "%s: re-timed deadlocks, fused runs %d cycles" where c)
+    Error (Fmt.str "%s: swept deadlock, fresh run takes %d cycles" where c)
 
 let capacities (c : Config.t) =
   ( c.Config.request_fifo_capacity,

@@ -15,14 +15,15 @@
     per workload×arch; the grid loop runs inside the job, keeping cache
     and trace locality per domain).
 
-    Trust, but verify: [check] samples per job re-run the full fused
-    {!Dae_sim.Machine.simulate} at swept configurations and compare
-    cycles, kill/commit counts and the complete stall partition
-    bit-for-bit; [sizing_check] cross-validates the static sizing
-    analyzer's minimum-depth verdict against the sweep's observed deadlock
-    boundary (a deadlock at capacities at or above the analyzer's minima
-    would disprove the analyzer). Both report violations in the summary
-    rather than raising. *)
+    Trust, but verify: [check] samples per job re-run a fresh
+    {!Dae_sim.Machine.simulate} (plan + prepare + simulate, independent of
+    the result cache and of the job's shared prepared traces) at swept
+    configurations and compare cycles, kill/commit counts and the complete
+    stall partition bit-for-bit; [sizing_check] cross-validates the static
+    sizing analyzer's minimum-depth verdict against the sweep's observed
+    deadlock boundary (a deadlock at capacities at or above the analyzer's
+    minima would disprove the analyzer). Both report violations in the
+    summary rather than raising. *)
 
 open Dae_ir
 module Machine = Dae_sim.Machine
@@ -134,10 +135,11 @@ val run :
   workload list ->
   t
 (** Sweep the full grid. [check] (default 1) samples that many completed
-    points per (workload, arch) job and replays them through the fused
-    {!Machine.simulate}, comparing cycles, kills/commits and stall
-    partitions exactly; cached points are checked the same way, so a
-    poisoned cache entry cannot hide. [sizing_check] (default true) runs
+    points per (workload, arch) job and re-runs them through a fresh
+    {!Machine.simulate} — its own plan, prepare and replay, sharing
+    neither the cache nor the job's prepared traces — comparing cycles,
+    kills/commits and stall partitions exactly; cached points are checked
+    the same way, so a poisoned cache entry cannot hide. [sizing_check] (default true) runs
     the static sizing analyzer per decoupled job and flags any swept
     deadlock at capacities ≥ the analyzer's minima. *)
 

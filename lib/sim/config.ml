@@ -63,15 +63,6 @@ type t = {
   (* Scratchpad reproduces the paper's deterministic SRAM bit-identically;
      Hierarchy puts a banked non-blocking cache + DRAM behind the load
      port, making load latency variable (ROADMAP item 1). *)
-  unit_clock_ratios : int array;
-  (* Per-unit clock dividers in dense unit order [AGU; CU; AU1; ...]
-     (the big.LITTLE DAE direction, ROADMAP item 3 leftover): ratio k
-     means the unit ticks every k engine cycles. [||] (or all-1) is the
-     homogeneous design and renders an empty key suffix, so every
-     pre-existing key is unchanged. The axis is plumbed through
-     validation and keying only — the timing engine rejects any ratio
-     other than 1 with [Timing.Unsupported] until the multi-clock
-     retirement rule is modeled. *)
 }
 
 let default_dram =
@@ -104,7 +95,6 @@ let default =
     unit_ii = 1;
     vector_width = 1;
     hierarchy = Scratchpad;
-    unit_clock_ratios = [||];
   }
 
 (* Every field is a count of cycles or slots and must be at least 1: the
@@ -131,9 +121,6 @@ let validate (c : t) =
   need "branch_latency" c.branch_latency;
   need "unit_ii" c.unit_ii;
   need "vector_width" c.vector_width;
-  Array.iteri
-    (fun i r -> need (Printf.sprintf "unit_clock_ratios[%d]" i) r)
-    c.unit_clock_ratios;
   match c.hierarchy with
   | Scratchpad -> ()
   | Hierarchy g ->
@@ -168,24 +155,14 @@ let hierarchy_key = function
         g.dram.dram_banks g.dram.row_words g.dram.t_row_hit g.dram.t_row_miss
         g.dram.t_bus
 
-(* The homogeneous design ([||] or all-1) renders as "" so every key that
-   predates the axis is byte-identical. *)
-let clock_key ratios =
-  if Array.for_all (fun r -> r = 1) ratios then ""
-  else
-    ".ck"
-    ^ String.concat "x"
-        (Array.to_list (Array.map string_of_int ratios))
-
 let key (c : t) =
   Printf.sprintf
-    "lq%d.sq%d.rf%d.vf%d.svf%d.fl%d.ml%d.ms%d.fw%d.al%d.bl%d.ii%d.vw%d%s%s"
+    "lq%d.sq%d.rf%d.vf%d.svf%d.fl%d.ml%d.ms%d.fw%d.al%d.bl%d.ii%d.vw%d%s"
     c.load_queue_size c.store_queue_size c.request_fifo_capacity
     c.value_fifo_capacity c.store_value_fifo_capacity c.fifo_latency
     c.memory_load_latency c.memory_store_latency c.forward_latency
     c.alu_latency c.branch_latency c.unit_ii c.vector_width
     (hierarchy_key c.hierarchy)
-    (clock_key c.unit_clock_ratios)
 
 let pp_hierarchy ppf = function
   | Scratchpad -> Fmt.pf ppf "scratchpad"

@@ -46,13 +46,6 @@ type t = {
       (** §10 future work: vector of speculative requests per cycle;
           1 = the paper's scalar design *)
   hierarchy : hierarchy;
-  unit_clock_ratios : int array;
-      (** per-unit clock dividers in dense unit order \[AGU; CU; AU1; ...\]
-          (big.LITTLE DAE direction): ratio k = the unit ticks every k
-          engine cycles. [[||]] or all-1 is the homogeneous design (empty
-          key suffix — pre-existing keys unchanged). Plumbed through
-          {!validate} and {!key} only: the timing engine raises
-          [Timing.Unsupported] on any ratio other than 1. *)
 }
 
 val default : t

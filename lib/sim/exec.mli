@@ -9,9 +9,9 @@
 
     The fast path interprets the dense micro-op form of {!Lower}; compile
     once with {!Lower.compile} and call {!run_lowered} per invocation.
-    {!run} compiles and runs in one go. {!Reference} keeps the original
-    tree-walking interpreter as the oracle for the lowering equivalence
-    property (test/test_lower.ml).
+    {!run} compiles and runs in one go. The original tree-walking
+    interpreter lives on under [test/reference/] as the oracle for the
+    lowering equivalence property (test/test_lower.ml).
 
     The paper's §6 guarantees are checked dynamically on every run:
     {!Stream_mismatch} if the store-value/kill stream ever disagrees with
@@ -73,15 +73,3 @@ val check_against_golden :
   golden:Interp.result ->
   result ->
   (unit, string) Stdlib.result
-
-(** The pre-lowering tree-walking interpreter, unchanged except that it
-    records compact traces over the same interned array table — the oracle
-    the lowered path is property-tested against. *)
-module Reference : sig
-  val run :
-    ?fuel:int ->
-    Dae_core.Pipeline.t ->
-    args:(string * Types.value) list ->
-    mem:Interp.Memory.t ->
-    result
-end

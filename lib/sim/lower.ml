@@ -82,7 +82,8 @@ type t = {
 let units (t : t) : uprog array =
   Array.append [| t.agu; t.cu |] t.aus
 
-(* --- static analyses (once per pipeline, shared with Exec.Reference) ----- *)
+(* --- static analyses (once per pipeline; the test-only reference
+   interpreter reuses them) ---------------------------------------------- *)
 
 (* The innermost loop header with the most channel operations: iteration
    boundaries for trace purposes. *)

@@ -86,7 +86,8 @@ val array_table : Dae_core.Pipeline.t -> string array
 
 (** {1 Static analyses}
 
-    Computed once here per pipeline; also used by {!Exec.Reference}. *)
+    Computed once here per pipeline; also used by the test-only reference
+    interpreter. *)
 
 val hot_header : Func.t -> int option
 (** The innermost loop header with the most channel operations: the

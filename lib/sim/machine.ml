@@ -1,33 +1,21 @@
-(* Top-level machine: compiles a kernel for one of the four evaluated
-   architectures and simulates a sequence of invocations (graph kernels run
-   once per BFS level / relaxation round, threading memory through).
+(* Top-level machine (see machine.mli): the single-configuration entry
+   point over Retime's plan → prepare → simulate path. *)
 
-   Every decoupled invocation is checked against the sequential golden
-   model (final memory + per-array commit order) and the AGU/CU streams
-   are checked against each other (Lemma 6.1) — a run that returns is a
-   run that proved its own sequential consistency. *)
+type arch = Retime.arch = Sta | Dae | Spec | Oracle
 
-open Dae_ir
+let arch_name = Retime.arch_name
 
-type arch = Sta | Dae | Spec | Oracle
+type invocation = Retime.invocation
 
-let arch_name = function
-  | Sta -> "STA"
-  | Dae -> "DAE"
-  | Spec -> "SPEC"
-  | Oracle -> "ORACLE"
-
-type invocation = (string * Types.value) list (* kernel arguments *)
-
-type timeline = {
+type timeline = Retime.timeline = {
   t_invocation : int;
   t_agu : Trace.unit_trace;
-  t_aus : Trace.unit_trace array; (* extra access units; [||] for 2-way *)
+  t_aus : Trace.unit_trace array;
   t_cu : Trace.unit_trace;
   t_timing : Timing.result;
 }
 
-type result = {
+type result = Retime.result = {
   arch : arch;
   cycles : int;
   invocations : int;
@@ -35,148 +23,22 @@ type result = {
   committed_stores : int;
   misspec_rate : float;
   area : Area.breakdown;
-  memory : Interp.Memory.t; (* final memory, for workload-level checks *)
+  memory : Dae_ir.Interp.Memory.t;
   pipeline : Dae_core.Pipeline.t option;
-  stats : Stats.keyed; (* cycle attribution, merged over invocations *)
-  timelines : timeline list; (* per invocation; only with ~collect:true *)
+  stats : Stats.keyed;
+  timelines : timeline list;
   mem_events : Timing.mem_event array list;
-      (* per invocation, in order; only with ~record_mem:true *)
 }
 
-exception Check_failed of string
+exception Check_failed = Retime.Check_failed
 
-let golden_run (f : Func.t) ~args ~mem = Interp.run f ~args ~mem
-
-let simulate ?(cfg = Config.default) ?(validate = true)
-    ?(w = Area.default_weights) ?(collect = false) ?(record_mem = false)
-    ?max_cycles ?(partition = Dae_core.Decouple.trivial) ?scheduler
-    (arch : arch) (f : Func.t) ~(invocations : invocation list)
-    ~(mem : Interp.Memory.t) : result =
+let simulate ?(cfg = Config.default) ?(validate = true) ?w ?collect
+    ?record_mem ?max_cycles ?partition arch f ~invocations ~mem =
+  (* validate first: an invalid config fails before any functional work *)
   if validate then Config.validate cfg;
-  match arch with
-  | Sta ->
-    let mem = Interp.Memory.copy mem in
-    let cycles = ref 0 in
-    List.iter
-      (fun args ->
-        let golden = golden_run f ~args ~mem in
-        let r = Sta.cycles_of_run ~cfg f golden in
-        cycles := !cycles + r.Sta.cycles)
-      invocations;
-    {
-      arch;
-      cycles = !cycles;
-      invocations = List.length invocations;
-      killed_stores = 0;
-      committed_stores = 0;
-      misspec_rate = 0.0;
-      area = Area.sta ~w f;
-      memory = mem;
-      pipeline = None;
-      (* the single statically-scheduled unit is never idle: modulo
-         scheduling fills every cycle, so the whole run is Busy *)
-      stats = [ ("STA", Stats.of_busy !cycles) ];
-      timelines = [];
-      mem_events = [];
-    }
-  | Dae | Spec | Oracle ->
-    let mode =
-      match arch with
-      | Dae -> Dae_core.Pipeline.Dae
-      | Spec | Oracle -> Dae_core.Pipeline.Spec
-      | Sta -> assert false
-    in
-    let p = Dae_core.Pipeline.compile ~mode ~partition f in
-    let lowered = Lower.compile p in
-    let sim_mem = Interp.Memory.copy mem in
-    let golden_mem = Interp.Memory.copy mem in
-    let cycles = ref 0 in
-    let killed = ref 0 and committed = ref 0 in
-    let stats = ref [] in
-    let timelines = ref [] in
-    let mem_events = ref [] in
-    let inv_index = ref 0 in
-    let subscribers =
-      List.map
-        (fun (m, subs) ->
-          ( m,
-            List.map
-              (function
-                | `Agu -> Trace.Agu
-                | `Cu -> Trace.Cu
-                | `Au k -> Trace.Au k)
-              subs ))
-        p.Dae_core.Pipeline.load_subscribers
-    in
-    List.iter
-      (fun args ->
-        let golden =
-          golden_run p.Dae_core.Pipeline.original ~args ~mem:golden_mem
-        in
-        let r = Exec.run_lowered lowered ~args ~mem:sim_mem in
-        (match Exec.check_against_golden ~golden_mem ~golden r with
-        | Ok () -> ()
-        | Error msg ->
-          raise
-            (Check_failed
-               (Fmt.str "%s/%s: %s" f.Func.name (arch_name arch) msg)));
-        killed := !killed + r.Exec.killed_stores;
-        committed := !committed + r.Exec.committed_stores;
-        let trs =
-          match arch with
-          | Oracle ->
-            let agu_tr, cu_tr =
-              Timing.oracle_filter r.Exec.agu_trace r.Exec.cu_trace
-            in
-            [| agu_tr; cu_tr |]
-          | _ -> Exec.traces r
-        in
-        let timed =
-          Timing.run_units ~cfg ~validate:false ?max_cycles
-            ~record_depths:collect ~record_mem ?scheduler ~subscribers trs
-        in
-        cycles := !cycles + timed.Timing.cycles;
-        stats := Stats.merge_keyed !stats timed.Timing.stats;
-        if record_mem then
-          mem_events := timed.Timing.mem_events :: !mem_events;
-        if collect then
-          timelines :=
-            {
-              t_invocation = !inv_index;
-              t_agu = trs.(0);
-              t_aus = Array.sub trs 2 (Array.length trs - 2);
-              t_cu = trs.(1);
-              t_timing = timed;
-            }
-            :: !timelines;
-        incr inv_index)
-      invocations;
-    let total = !killed + !committed in
-    {
-      arch;
-      cycles = !cycles;
-      invocations = List.length invocations;
-      killed_stores = !killed;
-      committed_stores = !committed;
-      misspec_rate =
-        (if total = 0 then 0.0 else float_of_int !killed /. float_of_int total);
-      area =
-        (match arch with
-        | Oracle -> Area.decoupled ~w ~cfg ~ignore_poison:true p
-        | _ -> Area.decoupled ~w ~cfg p);
-      memory = sim_mem;
-      pipeline = Some p;
-      stats = !stats;
-      timelines = List.rev !timelines;
-      mem_events = List.rev !mem_events;
-    }
-
-(* Convenience: run all four architectures on the same kernel/input. *)
-let simulate_all ?cfg ?w (f : Func.t) ~invocations ~mem :
-    (arch * result) list =
-  List.map
-    (fun arch -> (arch, simulate ?cfg ?w arch f ~invocations ~mem))
-    [ Sta; Dae; Spec; Oracle ]
+  Retime.plan ?partition arch f
+  |> Retime.prepare ~invocations ~mem
+  |> Retime.simulate ~validate:false ?w ?collect ?record_mem ?max_cycles ~cfg
 
 let pp_stats ppf (r : result) =
   Stats.pp_table ~total_cycles:r.cycles ppf r.stats

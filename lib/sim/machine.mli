@@ -2,14 +2,14 @@
     architectures and simulate a sequence of invocations (graph kernels run
     once per level/round, threading memory through).
 
-    Every decoupled invocation is checked against the sequential golden
-    model (final memory and per-array commit order) and the AGU/CU streams
-    are checked against each other — a run that returns has proved its own
-    sequential consistency. *)
+    A thin wrapper over {!Retime}, the one simulation path: every
+    decoupled invocation is checked against the sequential golden model
+    (final memory and per-array commit order) and the AGU/CU streams are
+    checked against each other — a run that returns has proved its own
+    sequential consistency. The types below are {!Retime}'s, re-exported
+    so both module paths name the same values. *)
 
-open Dae_ir
-
-type arch =
+type arch = Retime.arch =
   | Sta  (** static HLS baseline *)
   | Dae  (** decoupling without speculation *)
   | Spec  (** the paper's contribution *)
@@ -17,19 +17,18 @@ type arch =
 
 val arch_name : arch -> string
 
-type invocation = (string * Types.value) list
+type invocation = Retime.invocation
 
-type timeline = {
-  t_invocation : int;  (** 0-based invocation index *)
-  t_agu : Trace.unit_trace;  (** as replayed (ORACLE: post-filter) *)
+type timeline = Retime.timeline = {
+  t_invocation : int;
+  t_agu : Trace.unit_trace;
   t_aus : Trace.unit_trace array;
-      (** extra access units of an N-way partition; [[||]] for 2-way *)
   t_cu : Trace.unit_trace;
   t_timing : Timing.result;
 }
-(** One invocation's replay, as consumed by {!Trace_export}. *)
+(** See {!Retime.timeline}. *)
 
-type result = {
+type result = Retime.result = {
   arch : arch;
   cycles : int;
   invocations : int;
@@ -37,37 +36,27 @@ type result = {
   committed_stores : int;
   misspec_rate : float;
   area : Area.breakdown;
-  memory : Interp.Memory.t;  (** final memory, for workload-level checks *)
-  pipeline : Dae_core.Pipeline.t option;  (** [None] for {!Sta} *)
+  memory : Dae_ir.Interp.Memory.t;
+  pipeline : Dae_core.Pipeline.t option;
   stats : Stats.keyed;
-      (** per-unit cycle attribution merged over all invocations; every
-          unit's counters sum exactly to [cycles] ({!Sta}: one unit
-          ["STA"], all Busy) *)
   timelines : timeline list;
-      (** per-invocation replays with channel-depth samples; empty unless
-          [simulate ~collect:true] *)
   mem_events : Timing.mem_event array list;
-      (** per-invocation committed-order memory event logs for the
-          {!Mem_model} oracle; empty unless [simulate ~record_mem:true] *)
 }
+(** See {!Retime.result}. *)
 
 exception Check_failed of string
+(** The same exception as {!Retime.Check_failed}. *)
 
-(** [collect] (default false) additionally keeps every invocation's traces,
-    retire times and channel-depth samples for the timeline exporter — it
-    never changes cycles or stats. [validate] (default true) runs
-    {!Config.validate} before simulating; deadlock-boundary probes pass
-    [~validate:false] to drive the timing engine with a rejected
-    configuration. [record_mem] (default false) keeps each invocation's
-    memory event log; [max_cycles] caps each invocation's replay (the
-    qcheck harness's hang guard — overruns raise {!Timing.Timing_error}).
-    [partition] slices the kernel along an N-way address-stream assignment
-    ({!Dae_core.Decouple.run_n}); it requires arch {!Dae} (ignored by
-    {!Sta}, rejected by the pipeline for {!Spec}/{!Oracle}) and defaults
-    to the classic 2-way split. [scheduler] selects the timing engine's
-    stall-path scheduler (default {!Timing.Event_wheel}; the seed
-    calendar is the bit-identical reference the CI determinism diff
-    replays).
+(** [Retime.plan ?partition arch f |> Retime.prepare ~invocations ~mem
+    |> Retime.simulate ~cfg] (default {!Config.default}). [validate]
+    (default true) runs {!Config.validate} before any functional work;
+    deadlock-boundary probes pass [~validate:false] to drive the timing
+    engine with a rejected configuration. [w], [collect], [record_mem] and
+    [max_cycles] are {!Retime.simulate}'s. [partition] slices the kernel
+    along an N-way address-stream assignment ({!Dae_core.Decouple.run_n});
+    it requires arch {!Dae} (ignored by {!Sta}, rejected by the pipeline
+    for {!Spec}/{!Oracle}) and defaults to the classic 2-way split. The
+    returned [memory] is this call's own copy.
     @raise Invalid_argument on an invalid configuration.
     @raise Check_failed when a decoupled run disagrees with the golden
     model. *)
@@ -79,20 +68,11 @@ val simulate :
   ?record_mem:bool ->
   ?max_cycles:int ->
   ?partition:Dae_core.Decouple.assignment ->
-  ?scheduler:Timing.scheduler ->
   arch ->
-  Func.t ->
+  Dae_ir.Func.t ->
   invocations:invocation list ->
-  mem:Interp.Memory.t ->
+  mem:Dae_ir.Interp.Memory.t ->
   result
-
-val simulate_all :
-  ?cfg:Config.t ->
-  ?w:Area.weights ->
-  Func.t ->
-  invocations:invocation list ->
-  mem:Interp.Memory.t ->
-  (arch * result) list
 
 val pp_stats : result Fmt.t
 (** The stall-attribution breakdown of {!result.stats} as a table (one

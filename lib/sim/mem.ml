@@ -1,7 +1,7 @@
 (* Banked non-blocking cache + DRAM timing model (see mem.mli).
 
-   Determinism is load-bearing: the differential harness replays Machine
-   and Retime runs against each other, and the result cache memoizes
+   Determinism is load-bearing: the differential harness replays fresh
+   and shared prepares against each other, and the result cache memoizes
    re-timed points by config key. Every structure here is a fixed-size
    array scanned in index order, and the LRU tie-break is a monotonic
    access counter — no hashing, no physical time.

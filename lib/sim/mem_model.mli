@@ -2,7 +2,7 @@
     specification side of the differential memory-model harness
     (test/test_mem.ml), in the style of Zhang–Vijayaraghavan–Arvind's
     operational framework: every committed load/store event the timing
-    engine records ([Timing.run ~record_mem]) is replayed against an
+    engine records ([Timing.run_units ~record_mem]) is replayed against an
     abstract per-array store-queue machine, and any step the model's rules
     do not admit is a violation.
 

@@ -1,18 +1,49 @@
-(* Trace-driven re-timing (see retime.mli).
+(* Trace-driven re-timing (see retime.mli) — the one simulation path.
 
    The seam this module exploits is structural: Exec.run_lowered takes no
    Config.t, and Timing.oracle_filter is likewise config-independent, so
    everything up to and including the recorded traces is identical across
    every point of a configuration sweep. [prepare] does that half once;
-   [simulate] is then Timing.run per stored invocation plus the (cheap,
-   config-dependent) area model.
-
-   Equivalence with Machine.simulate is not by delegation — Machine keeps
-   its own fused loop — but by construction plus the property suite in
-   test/test_retime.ml: same compile, same lowering, same per-invocation
-   trace threading, same Timing.run arguments, same stats merge order. *)
+   [simulate] is then Timing.run_units per stored invocation plus the
+   (cheap, config-dependent) area model. Machine.simulate is
+   plan |> prepare |> simulate, so a single-configuration run and a sweep
+   point share every line of functional and timing code. *)
 
 open Dae_ir
+
+type arch = Sta | Dae | Spec | Oracle
+
+let arch_name = function
+  | Sta -> "STA"
+  | Dae -> "DAE"
+  | Spec -> "SPEC"
+  | Oracle -> "ORACLE"
+
+type invocation = (string * Types.value) list (* kernel arguments *)
+
+type timeline = {
+  t_invocation : int;
+  t_agu : Trace.unit_trace;
+  t_aus : Trace.unit_trace array; (* extra access units; [||] for 2-way *)
+  t_cu : Trace.unit_trace;
+  t_timing : Timing.result;
+}
+
+type result = {
+  arch : arch;
+  cycles : int;
+  invocations : int;
+  killed_stores : int;
+  committed_stores : int;
+  misspec_rate : float;
+  area : Area.breakdown;
+  memory : Interp.Memory.t; (* final memory, for workload-level checks *)
+  pipeline : Dae_core.Pipeline.t option;
+  stats : Stats.keyed; (* cycle attribution, merged over invocations *)
+  timelines : timeline list; (* per invocation; only with ~collect:true *)
+  mem_events : Timing.mem_event array list;
+      (* per invocation, in order; only with ~record_mem:true *)
+}
 
 exception Check_failed of string
 
@@ -23,16 +54,16 @@ type decoupled_plan = {
 }
 
 type plan = {
-  pl_arch : Machine.arch;
+  pl_arch : arch;
   pl_func : Func.t;
   pl_digest : string;
   pl_dec : decoupled_plan option; (* None for STA *)
 }
 
-let plan ?(partition = Dae_core.Decouple.trivial) (arch : Machine.arch)
+let plan ?(partition = Dae_core.Decouple.trivial) (arch : arch)
     (f : Func.t) : plan =
   match arch with
-  | Machine.Sta ->
+  | Sta ->
     (* the printed IR is the canonical byte form of a function *)
     let digest =
       Digest.to_hex (Digest.string (Fmt.str "%a" Printer.pp_func f))
@@ -43,10 +74,10 @@ let plan ?(partition = Dae_core.Decouple.trivial) (arch : Machine.arch)
       pl_digest = "STA:" ^ digest;
       pl_dec = None;
     }
-  | Machine.Dae | Machine.Spec | Machine.Oracle ->
+  | Dae | Spec | Oracle ->
     let mode =
       match arch with
-      | Machine.Dae -> Dae_core.Pipeline.Dae
+      | Dae -> Dae_core.Pipeline.Dae
       | _ -> Dae_core.Pipeline.Spec
     in
     let p = Dae_core.Pipeline.compile ~mode ~partition f in
@@ -70,8 +101,7 @@ let plan ?(partition = Dae_core.Decouple.trivial) (arch : Machine.arch)
       pl_func = f;
       (* SPEC and ORACLE share a lowering (mode Spec); the arch prefix
          keeps their identities distinct — ORACLE filters its traces *)
-      pl_digest =
-        Machine.arch_name arch ^ ":" ^ Digest.to_hex (Lower.digest lowered);
+      pl_digest = arch_name arch ^ ":" ^ Digest.to_hex (Lower.digest lowered);
       pl_dec =
         Some { p_pipeline = p; p_lowered = lowered; p_subscribers = subscribers };
     }
@@ -96,7 +126,7 @@ type prepared = {
   pr_memory : Interp.Memory.t; (* final memory after all invocations *)
 }
 
-let prepare (plan : plan) ~(invocations : Machine.invocation list)
+let prepare (plan : plan) ~(invocations : invocation list)
     ~(mem : Interp.Memory.t) : prepared =
   match plan.pl_dec with
   | None ->
@@ -135,12 +165,12 @@ let prepare (plan : plan) ~(invocations : Machine.invocation list)
                raise
                  (Check_failed
                     (Fmt.str "%s/%s: %s" plan.pl_func.Func.name
-                       (Machine.arch_name plan.pl_arch)
+                       (arch_name plan.pl_arch)
                        msg)));
              killed := !killed + r.Exec.killed_stores;
              committed := !committed + r.Exec.committed_stores;
              match plan.pl_arch with
-             | Machine.Oracle ->
+             | Oracle ->
                let agu_tr, cu_tr =
                  Timing.oracle_filter r.Exec.agu_trace r.Exec.cu_trace
                in
@@ -182,8 +212,8 @@ let trace_digest (pr : prepared) =
                   pr.pr_traces))))
 
 let simulate ?(validate = true) ?(w = Area.default_weights)
-    ?(collect = false) ?(record_mem = false) ?max_cycles ~(cfg : Config.t)
-    (pr : prepared) : Machine.result =
+    ?(collect = false) ?(record_mem = false) ?max_cycles ?scheduler
+    ~(cfg : Config.t) (pr : prepared) : result =
   if validate then Config.validate cfg;
   let plan = pr.pr_plan in
   match plan.pl_dec with
@@ -195,7 +225,7 @@ let simulate ?(validate = true) ?(w = Area.default_weights)
         0 pr.pr_golden_runs
     in
     {
-      Machine.arch = plan.pl_arch;
+      arch = plan.pl_arch;
       cycles;
       invocations = pr.pr_invocations;
       killed_stores = 0;
@@ -204,6 +234,8 @@ let simulate ?(validate = true) ?(w = Area.default_weights)
       area = Area.sta ~w plan.pl_func;
       memory = pr.pr_memory;
       pipeline = None;
+      (* the single statically-scheduled unit is never idle: modulo
+         scheduling fills every cycle, so the whole run is Busy *)
       stats = [ ("STA", Stats.of_busy cycles) ];
       timelines = [];
       mem_events = [];
@@ -217,7 +249,7 @@ let simulate ?(validate = true) ?(w = Area.default_weights)
       (fun i trs ->
         let timed =
           Timing.run_units ~cfg ~validate:false ?max_cycles
-            ~record_depths:collect ~record_mem
+            ~record_depths:collect ~record_mem ?scheduler
             ~subscribers:dec.p_subscribers trs
         in
         cycles := !cycles + timed.Timing.cycles;
@@ -227,7 +259,7 @@ let simulate ?(validate = true) ?(w = Area.default_weights)
         if collect then
           timelines :=
             {
-              Machine.t_invocation = i;
+              t_invocation = i;
               t_agu = trs.(0);
               t_aus = Array.sub trs 2 (Array.length trs - 2);
               t_cu = trs.(1);
@@ -237,7 +269,7 @@ let simulate ?(validate = true) ?(w = Area.default_weights)
       pr.pr_traces;
     let total = pr.pr_killed + pr.pr_committed in
     {
-      Machine.arch = plan.pl_arch;
+      arch = plan.pl_arch;
       cycles = !cycles;
       invocations = pr.pr_invocations;
       killed_stores = pr.pr_killed;
@@ -247,7 +279,7 @@ let simulate ?(validate = true) ?(w = Area.default_weights)
          else float_of_int pr.pr_killed /. float_of_int total);
       area =
         (match plan.pl_arch with
-        | Machine.Oracle ->
+        | Oracle ->
           Area.decoupled ~w ~cfg ~ignore_poison:true dec.p_pipeline
         | _ -> Area.decoupled ~w ~cfg dec.p_pipeline);
       memory = pr.pr_memory;

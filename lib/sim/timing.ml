@@ -47,10 +47,10 @@ type lsq_stats = {
   mutable loads : int;
 }
 
-(* Committed-order memory events, recorded only under [run ~record_mem] —
-   the input to the Mem_model SC/ordering oracle. List order is execution
-   order (the engine is sequential), which the oracle uses to order events
-   within one cycle. *)
+(* Committed-order memory events, recorded only under
+   [run_units ~record_mem] — the input to the Mem_model SC/ordering
+   oracle. List order is execution order (the engine is sequential), which
+   the oracle uses to order events within one cycle. *)
 type mem_event =
   | Ev_st_alloc of { arr : string; seq : int; addr : int; t : int }
   | Ev_st_resolve of { arr : string; seq : int; poisoned : bool; t : int }
@@ -83,12 +83,12 @@ type result = {
          calendar jump sound), so span attribution is exact *)
   depth_samples : (int * string * int) array;
       (* (cycle, channel, depth) — emitted on change, in cycle order, only
-         when [run ~record_depths:true]; channels are "<arr>.req_ld",
+         when [run_units ~record_depths:true]; channels are "<arr>.req_ld",
          "<arr>.req_st", "<arr>.stv", "<arr>.sq", "<arr>.lq" and
          "ldv<mem>.<unit>" *)
   mem_events : mem_event array;
       (* execution-order LSQ/memory event log; empty unless
-         [run ~record_mem:true] *)
+         [run_units ~record_mem:true] *)
 }
 
 exception Timing_error of string
@@ -97,11 +97,6 @@ exception Timing_error of string
    the sizing analyzer's boundary probes can tell "the model deadlocked"
    from engine misuse or a cycle overrun. *)
 exception Deadlock of string
-
-(* A config axis the key/validate layer accepts but the timing model does
-   not implement yet (heterogeneous unit clocks) — typed so callers can
-   distinguish "unsupported point" from model deadlock or misuse. *)
-exception Unsupported of string
 
 (* --- FIFO with arrival latency and bounded capacity ---------------------- *)
 
@@ -233,7 +228,7 @@ end
 
 (* Stall-path scheduler choice: the event wheel is the production path;
    the seed calendar is kept as the reference the qcheck equivalence
-   suite and the CI determinism diff replay against. *)
+   suite replays against. *)
 type scheduler = Event_wheel | Seed_calendar
 
 (* --- LSQ / DU per array --------------------------------------------------- *)
@@ -951,19 +946,6 @@ let run_units ?(cfg = Config.default) ?(validate = true)
   if Array.length trs < 2 then
     raise (Timing_error "run_units: need at least AGU and CU traces");
   if validate then Config.validate cfg;
-  (* Heterogeneous unit clocks are a plumbed-but-unimplemented config
-     axis: the key/validate layer accepts them so sweeps can enumerate
-     the axis, but the timing model itself only supports a single clock
-     domain — reject anything else with a typed error rather than
-     silently mistiming. *)
-  if not (Array.for_all (fun r -> r = 1) cfg.Config.unit_clock_ratios) then
-    raise
-      (Unsupported
-         (Fmt.str
-            "heterogeneous unit clocks not yet modeled (unit_clock_ratios %s)"
-            (String.concat "x"
-               (Array.to_list
-                  (Array.map string_of_int cfg.Config.unit_clock_ratios)))));
   let env =
     {
       cfg;
@@ -1246,12 +1228,6 @@ let run_units ?(cfg = Config.default) ?(validate = true)
     depth_samples = Array.of_list (List.rev !samples);
     mem_events = Array.of_list (List.rev env.mem_log);
   }
-
-let run ?cfg ?validate ?max_cycles ?record_depths ?record_mem ?scheduler
-    ~subscribers (agu_tr : Trace.unit_trace) (cu_tr : Trace.unit_trace) :
-    result =
-  run_units ?cfg ?validate ?max_cycles ?record_depths ?record_mem ?scheduler
-    ~subscribers [| agu_tr; cu_tr |]
 
 (* The out-of-order scan depth, exposed so the static sizing analyzer's
    abstract causality replay matches the engine's retirement window. *)

@@ -20,11 +20,11 @@ type lsq_stats = {
   mutable loads : int;
 }
 
-(** Committed-order LSQ/memory events, recorded under [run ~record_mem] in
-    execution order — the trace the {!Mem_model} SC/ordering oracle
-    replays. [seq] is the per-array program-order tag the AGU assigned;
-    [older_sts] on a load is the number of same-array stores preceding it
-    in program order. *)
+(** Committed-order LSQ/memory events, recorded under
+    [run_units ~record_mem] in execution order — the trace the
+    {!Mem_model} SC/ordering oracle replays. [seq] is the per-array
+    program-order tag the AGU assigned; [older_sts] on a load is the
+    number of same-array stores preceding it in program order. *)
 type mem_event =
   | Ev_st_alloc of { arr : string; seq : int; addr : int; t : int }
   | Ev_st_resolve of { arr : string; seq : int; poisoned : bool; t : int }
@@ -62,12 +62,12 @@ type result = {
           invariant that makes the calendar jump sound) *)
   depth_samples : (int * string * int) array;
       (** [(cycle, channel, depth)] occupancy samples, emitted on change
-          in cycle order; empty unless [run ~record_depths:true]. Channels
-          are ["<arr>.req_ld"], ["<arr>.req_st"], ["<arr>.stv"],
+          in cycle order; empty unless [run_units ~record_depths:true].
+          Channels are ["<arr>.req_ld"], ["<arr>.req_st"], ["<arr>.stv"],
           ["<arr>.sq"], ["<arr>.lq"] and ["ldv<mem>.<unit>"]. *)
   mem_events : mem_event array;
       (** execution-order memory event log; empty unless
-          [run ~record_mem:true] *)
+          [run_units ~record_mem:true] *)
 }
 
 exception Timing_error of string
@@ -77,18 +77,13 @@ exception Deadlock of string
     no future calendar wake exists. Distinct from {!Timing_error} (engine
     misuse, cycle overrun) so deadlock-boundary probes can discriminate. *)
 
-exception Unsupported of string
-(** A config axis the key/validate layer accepts but the timing model does
-    not implement yet — today, heterogeneous
-    {!Config.t.unit_clock_ratios}. Typed so sweeps and probes can tell an
-    unsupported point from a modelled deadlock. *)
-
 (** Stall-path scheduler. {!Event_wheel} (the default) keeps one sorted
     wake-candidate bucket per unit and DU array and recomputes a bucket
     only when that component's state changed — O(1) amortized per clean
     component per stall. {!Seed_calendar} is the seed's
     rescan-everything-per-stall reference path; both produce bit-identical
-    results (pinned by the equivalence suite and a CI diff). *)
+    results (pinned by the equivalence suite in [test/test_wheel.ml]).
+    Only tests select the calendar, through {!Retime.simulate}. *)
 type scheduler = Event_wheel | Seed_calendar
 
 val scan_window : int
@@ -113,30 +108,20 @@ module Fifo : sig
   val is_empty : 'a t -> bool
 end
 
-(** Replay a pair of unit traces to completion. [record_depths] (default
-    false) additionally records channel-occupancy samples for the timeline
-    exporter; [record_mem] (default false) records the committed-order
-    memory event log; neither ever affects scheduling or cycle counts.
-    [validate] (default true) runs {!Config.validate} first;
-    deadlock-boundary probes pass [~validate:false] to simulate a rejected
-    configuration. In [Config.Hierarchy] mode loads consult a fresh {!Mem}
-    instance (cold caches per run); in [Scratchpad] mode the pre-hierarchy
-    fixed-latency path runs unchanged.
+(** Replay any number of unit traces (dense {!Trace.unit_index} order
+    \[agu; cu; au1; ...\]) to completion; needs at least two traces.
+    [record_depths] (default false) additionally records
+    channel-occupancy samples for the timeline exporter; [record_mem]
+    (default false) records the committed-order memory event log;
+    neither ever affects scheduling or cycle counts. [validate] (default
+    true) runs {!Config.validate} first; deadlock-boundary probes pass
+    [~validate:false] to simulate a rejected configuration. In
+    [Config.Hierarchy] mode loads consult a fresh {!Mem} instance (cold
+    caches per run); in [Scratchpad] mode the pre-hierarchy fixed-latency
+    path runs unchanged. [scheduler] defaults to {!Event_wheel}.
     @raise Invalid_argument on an invalid configuration.
     @raise Deadlock on a modelled deadlock.
     @raise Timing_error on a cycle overrun. *)
-val run :
-  ?cfg:Config.t ->
-  ?validate:bool ->
-  ?max_cycles:int ->
-  ?record_depths:bool ->
-  ?record_mem:bool ->
-  ?scheduler:scheduler ->
-  subscribers:(int * Trace.unit_id list) list ->
-  Trace.unit_trace ->
-  Trace.unit_trace ->
-  result
-
 val run_units :
   ?cfg:Config.t ->
   ?validate:bool ->
@@ -147,10 +132,6 @@ val run_units :
   subscribers:(int * Trace.unit_id list) list ->
   Trace.unit_trace array ->
   result
-(** Replay any number of unit traces (dense {!Trace.unit_index} order
-    \[agu; cu; au1; ...\]); {!run} is the two-trace special case and
-    produces identical results for the same pair. Needs at least two
-    traces. *)
 
 (** The ORACLE bound (paper §8.1.1): drop mis-speculated store requests
     from the AGU trace and kills from the CU trace — perfect speculation. *)

@@ -13,20 +13,6 @@
    recorded order), so the document is byte-stable across runs and across
    runner domain counts. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 type emitter = { buf : Buffer.t; mutable first : bool }
 
 let event em fmt =
@@ -37,14 +23,14 @@ let event em fmt =
 let metadata em ~pid ~tid ~kind ~name =
   event em
     {|{ "name": "%s", "ph": "M", "pid": %d, "tid": %d, "args": { "name": "%s" } }|}
-    kind pid tid (escape name)
+    kind pid tid (Json.escape name)
 
 let slices em ~pid ~tid (tr : Trace.unit_trace) (retire : int array) =
   for k = 0 to Trace.length tr - 1 do
     if retire.(k) >= 0 then
       event em
         {|{ "name": "%s", "cat": "i%d", "ph": "X", "ts": %d, "dur": 1, "pid": %d, "tid": %d }|}
-        (escape (Fmt.str "%a" (fun ppf -> Trace.pp_event tr ppf) k))
+        (Json.escape (Fmt.str "%a" (fun ppf -> Trace.pp_event tr ppf) k))
         (Trace.iter tr k) retire.(k) pid tid
   done
 
@@ -53,7 +39,7 @@ let counters em ~pid (samples : (int * string * int) array) =
     (fun (t, chan, depth) ->
       event em
         {|{ "name": "%s", "ph": "C", "ts": %d, "pid": %d, "args": { "depth": %d } }|}
-        (escape chan) t pid depth)
+        (Json.escape chan) t pid depth)
     samples
 
 let export buf ~kernel (r : Machine.result) =
@@ -61,15 +47,15 @@ let export buf ~kernel (r : Machine.result) =
   let arch = Machine.arch_name r.Machine.arch in
   p "{\n";
   p "  \"schema\": \"dae-trace/1\",\n";
-  p "  \"kernel\": \"%s\",\n" (escape kernel);
-  p "  \"arch\": \"%s\",\n" (escape arch);
+  p "  \"kernel\": \"%s\",\n" (Json.escape kernel);
+  p "  \"arch\": \"%s\",\n" (Json.escape arch);
   p "  \"cycles\": %d,\n" r.Machine.cycles;
   p "  \"displayTimeUnit\": \"ns\",\n";
   (* the stall attribution rides along so a trace file is self-describing *)
   p "  \"stats\": {\n";
   List.iteri
     (fun i (unit, c) ->
-      p "    \"%s\": { %s }%s\n" (escape unit)
+      p "    \"%s\": { %s }%s\n" (Json.escape unit)
         (String.concat ", "
            (List.map
               (fun (cause, n) -> Printf.sprintf "\"%s\": %d" cause n)

@@ -147,8 +147,8 @@ let gen_sound (g : Gen.t) =
             ~invocations:[ g.Gen.args ] ~mem:(g.Gen.mem ())
         with
         | exception
-            ( M.Check_failed _ | R.Check_failed _ | E.Deadlock _
-            | E.Stream_mismatch _ | E.Desync _ ) ->
+            ( R.Check_failed _ | E.Deadlock _ | E.Stream_mismatch _
+            | E.Desync _ ) ->
           true (* the program itself is rejected either way *)
         | r ->
           let sound = (not (Leak.found r)) || not (Taint.clean t) in

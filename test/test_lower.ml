@@ -1,5 +1,5 @@
 (* The micro-op lowering, held to bit-identical equivalence with the
-   pre-lowering tree-walking co-simulator it replaced (Exec.Reference):
+   pre-lowering tree-walking co-simulator it replaced (Exec_reference):
    for randomized kernels from the §6 generator, in both decoupled modes,
    the lowered fast path must produce the same final memory, the same
    per-array commit sequence, the same compact channel traces event for
@@ -56,7 +56,7 @@ let test_kernel name () =
       List.iter
         (fun args ->
           let fast = E.run_lowered lowered ~args ~mem:mem_fast in
-          let reference = E.Reference.run p ~args ~mem:mem_ref in
+          let reference = Exec_reference.run p ~args ~mem:mem_ref in
           same_run (Printf.sprintf "%s/%s" name mname) fast reference)
         (k.Kernels.invocations ()))
     modes
@@ -77,12 +77,12 @@ let gen_lowering_equiv (g : G.t) =
         match run (E.run_lowered (Dae_sim.Lower.compile p)) with
         | exception (E.Deadlock _ | E.Stream_mismatch _ | E.Desync _) ->
           (* then the reference path must refuse it the same way *)
-          (match run (E.Reference.run p) with
+          (match run (Exec_reference.run p) with
           | (_ : E.result * Dae_ir.Interp.Memory.t) -> false
           | exception (E.Deadlock _ | E.Stream_mismatch _ | E.Desync _) ->
             true)
         | fast, fast_mem -> (
-          match run (E.Reference.run p) with
+          match run (Exec_reference.run p) with
           | exception (E.Deadlock _ | E.Stream_mismatch _ | E.Desync _) ->
             false
           | reference, ref_mem ->

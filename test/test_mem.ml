@@ -16,10 +16,11 @@
        reorders are out of the model's scope — the memory is age-ordered,
        see mem_model.mli.
 
-   (c) Retime ≡ Machine with the hierarchy enabled: the trace-driven
-       re-timing path reproduces cycles, full partitions and counters for
-       hierarchy configs too (cache/DRAM state is per-run, so the seam
-       still holds).
+   (c) A shared prepare replays like a fresh one with the hierarchy
+       enabled: one Retime.prepare re-timed across every hierarchy config
+       reproduces the cycles, full partitions and event logs of a fresh
+       Machine.simulate (its own plan + prepare) at each config —
+       cache/DRAM state is per-run, so no replay leaks into the next.
 
    Every simulated point runs under a cycle budget: a hang becomes a
    failure naming the kernel × config point instead of wedging

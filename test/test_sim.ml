@@ -2,8 +2,8 @@
 let () = Dae_analysis.Checker.install ()
 
 (* Architecture simulator: FIFOs, functional co-simulation, LSQ behaviour,
-   the timing engine's serialization mechanics, the STA model and the area
-   model. *)
+   the timing engine's serialization mechanics, the STA model, the area
+   model and the JSON emitter behind every machine-readable output. *)
 
 open Dae_ir
 open Dae_sim
@@ -221,6 +221,28 @@ let test_area_grows_with_lsq_size () =
   in
   check Alcotest.bool "bigger SQ, bigger DU" true (area 64 > area 8)
 
+(* --- JSON emitter ------------------------------------------------------------- *)
+
+let test_json_escape () =
+  check Alcotest.string "quote, backslash, newline, tab, control byte"
+    {|a\"b\\c\nd\te\u0001f|}
+    (Json.escape "a\"b\\c\nd\te\001f");
+  check Alcotest.string "plain text untouched" "hist/SPEC@lq4"
+    (Json.escape "hist/SPEC@lq4")
+
+let test_json_nested () =
+  let doc =
+    Json.Obj
+      [
+        ("kernel", Json.Str "a\"b");
+        ("units", Json.List [ Json.Obj [ ("Busy", Json.Int 3) ]; Json.Null ]);
+        ("ok", Json.Bool true);
+      ]
+  in
+  check Alcotest.string "compact nested rendering"
+    {|{"kernel":"a\"b","units":[{"Busy":3},null],"ok":true}|}
+    (Fmt.str "%a" Json.pp doc)
+
 let () =
   Alcotest.run "sim"
     [
@@ -255,5 +277,10 @@ let () =
         [
           tc "relationships" `Quick test_area_relationships;
           tc "LSQ size" `Quick test_area_grows_with_lsq_size;
+        ] );
+      ( "json",
+        [
+          tc "escape" `Quick test_json_escape;
+          tc "nested Obj/List" `Quick test_json_nested;
         ] );
     ]

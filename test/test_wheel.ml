@@ -1,17 +1,20 @@
 (* The incremental event-wheel scheduler, held to bit-identical
    equivalence with the seed's rescan-everything calendar it replaced:
-   for every kernel of the test suite and for randomized generator CFGs,
-   across all four architectures and a spread of configurations —
-   scratchpad, capacity floors, two memory-hierarchy points (the default
-   cache and a starved 1-bank/2-MSHR geometry over a slow DRAM) and
-   invalid capacity-0 boundary probes run with validation off —
-   [Machine.simulate ~scheduler:Event_wheel] must reproduce
-   [~scheduler:Seed_calendar]'s cycle counts, complete stall partitions,
-   kill/commit counters and deadlock verdicts (message included)
-   exactly. *)
+   for every kernel of the test suite, the paper suite's hist kernel at
+   the default cache hierarchy, and randomized generator CFGs, across all
+   four architectures and a spread of configurations — scratchpad,
+   capacity floors, two memory-hierarchy points (the default cache and a
+   starved 1-bank/2-MSHR geometry over a slow DRAM) and invalid
+   capacity-0 boundary probes run with validation off — each
+   (kernel, arch) is prepared once and that one prepare is replayed
+   through [Retime.simulate ~scheduler:Event_wheel] and
+   [~scheduler:Seed_calendar], which must agree on cycle counts, complete
+   stall partitions, kill/commit counters and deadlock verdicts (message
+   included) exactly. *)
 
 open Dae_workloads
 module M = Dae_sim.Machine
+module R = Dae_sim.Retime
 module Cfg = Dae_sim.Config
 module Stats = Dae_sim.Stats
 module Timing = Dae_sim.Timing
@@ -74,13 +77,9 @@ let export_stats keyed =
 type verdict =
   | Done of int * (string * (string * int) list) list * int * int
   | Dead of string  (** deadlock, message included: verdicts must agree *)
-  | Refused  (** the functional half itself rejects the program *)
 
-let verdict ~scheduler arch func ~invocations ~mem cfg =
-  match
-    M.simulate ~cfg ~validate:false ~scheduler arch (Dae_ir.Func.clone func)
-      ~invocations ~mem
-  with
+let verdict ~scheduler prepared cfg =
+  match R.simulate ~cfg ~validate:false ~scheduler prepared with
   | r ->
     Done
       ( r.M.cycles,
@@ -88,57 +87,71 @@ let verdict ~scheduler arch func ~invocations ~mem cfg =
         r.M.killed_stores,
         r.M.committed_stores )
   | exception Timing.Deadlock msg -> Dead msg
-  | exception (E.Deadlock _ | E.Stream_mismatch _ | E.Desync _) -> Refused
-  | exception M.Check_failed _ -> Refused
-  | exception Dae_core.Pipeline.Compile_error _ -> Refused
 
 let pp_verdict ppf = function
   | Done (c, _, k, m) -> Fmt.pf ppf "done(%d cyc, %d killed, %d committed)" c k m
   | Dead msg -> Fmt.pf ppf "deadlock(%s)" msg
-  | Refused -> Fmt.pf ppf "refused"
 
 let verdict_t = Alcotest.testable pp_verdict ( = )
+
+(* One prepare of [kernel] per arch, replayed under both schedulers at
+   every configuration of [cfgs]. *)
+let check_kernel ~cfgs (k : Kernels.t) =
+  List.iter
+    (fun arch ->
+      let prepared =
+        R.prepare
+          (R.plan arch (k.Kernels.build ()))
+          ~invocations:(k.Kernels.invocations ())
+          ~mem:(k.Kernels.init_mem ())
+      in
+      List.iter
+        (fun cfg ->
+          let label =
+            Fmt.str "%s/%s@%s" k.Kernels.name (M.arch_name arch) (Cfg.key cfg)
+          in
+          check verdict_t label
+            (verdict ~scheduler:Timing.Seed_calendar prepared cfg)
+            (verdict ~scheduler:Timing.Event_wheel prepared cfg))
+        cfgs)
+    archs
 
 (* --- test-suite kernels: every arch, every config, both schedulers ------- *)
 
 let test_kernel name () =
-  let k =
-    match Kernels.by_name (Kernels.test_suite ()) name with
-    | Some k -> k
-    | None -> Alcotest.failf "kernel %s not in test suite" name
-  in
-  let invocations = k.Kernels.invocations () in
-  List.iter
-    (fun arch ->
-      List.iter
-        (fun cfg ->
-          let label =
-            Fmt.str "%s/%s@%s" name (M.arch_name arch) (Cfg.key cfg)
-          in
-          let run scheduler =
-            verdict ~scheduler arch (k.Kernels.build ()) ~invocations
-              ~mem:(k.Kernels.init_mem ()) cfg
-          in
-          check verdict_t label
-            (run Timing.Seed_calendar)
-            (run Timing.Event_wheel))
-        cfgs)
-    archs
+  match Kernels.by_name (Kernels.test_suite ()) name with
+  | Some k -> check_kernel ~cfgs k
+  | None -> Alcotest.failf "kernel %s not in test suite" name
+
+(* --- paper-suite hist under the default cache hierarchy ------------------ *)
+
+let test_paper_hist () =
+  match Kernels.by_name (Kernels.paper_suite ()) "hist" with
+  | Some k ->
+    check_kernel
+      ~cfgs:[ { Cfg.default with Cfg.hierarchy = Cfg.Hierarchy Cfg.default_geom } ]
+      k
+  | None -> Alcotest.fail "hist not in the paper suite"
 
 (* --- qcheck: the same statement over randomized generator CFGs ----------- *)
 
 let gen_wheel_equiv (g : G.t) =
   List.for_all
     (fun arch ->
-      let invocations = [ g.G.args ] in
-      List.for_all
-        (fun cfg ->
-          let run scheduler =
-            verdict ~scheduler arch g.G.func ~invocations ~mem:(g.G.mem ())
-              cfg
-          in
-          run Timing.Seed_calendar = run Timing.Event_wheel)
-        cfgs)
+      match R.plan arch (Dae_ir.Func.clone g.G.func) with
+      | exception Dae_core.Pipeline.Compile_error _ -> true
+      | plan -> (
+        match R.prepare plan ~invocations:[ g.G.args ] ~mem:(g.G.mem ()) with
+        | exception
+            ( E.Deadlock _ | E.Stream_mismatch _ | E.Desync _
+            | R.Check_failed _ ) ->
+          true (* the functional half refuses the program: nothing to time *)
+        | prepared ->
+          List.for_all
+            (fun cfg ->
+              verdict ~scheduler:Timing.Seed_calendar prepared cfg
+              = verdict ~scheduler:Timing.Event_wheel prepared cfg)
+            cfgs))
     archs
 
 let qcheck_props =
@@ -160,5 +173,7 @@ let () =
   Alcotest.run "wheel"
     [
       ("test-suite kernels", kernel_cases);
+      ( "paper suite",
+        [ tc "hist, default cache hierarchy" `Quick test_paper_hist ] );
       ("randomized CFGs", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]
