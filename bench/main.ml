@@ -12,28 +12,28 @@
 
    Every section first *declares* its simulation jobs (kernel × arch ×
    config); the distinct jobs are fanned out once over a work-stealing
-   domain pool (Dae_sim.Runner) with a per-domain memoized
-   compile+simulate cache, so sections that share points (fig6 and
-   table1 use the same paper-suite runs) pay for them once. The
-   per-job results — cycles, mis-speculation rate, area, wall-clock,
-   GC pressure, the pool's own scheduling statistics (per-domain
-   utilization, steal counts), and the channel-sizing analyzer's
-   per-channel minimum depths and deadlock verdict — are written to
-   BENCH_10.json (with per-section job counts and wall-clocks) so the
-   perf trajectory is machine-readable from PR 1 onward. The leak
-   section adds the static speculative-leakage census (taint sources and
-   leak sites per kernel and mode; `daec leak`'s verdicts). The mlp
-   section re-runs DAE on the graph/irregular kernels under the cache
-   hierarchy at 1, 2 and the partitioner's natural N access units (jobs
-   keyed with a `#uN` suffix). Memory-hierarchy jobs (the mem and mlp
-   sections) ride the trace-driven re-timing engine: one functional
-   execution per kernel × arch × partition, each cache/DRAM point a
-   cheap replay, and the replayed verdicts memoized in the on-disk
-   result cache (--cache-dir / --no-cache) so a warm bench re-times
-   nothing. The sweep section additionally runs the re-timing DSE engine
-   cold and warm — over both the capacity grid and the hierarchy grid —
-   and records every pass's throughput and hit rate (the hierarchy warm
-   pass must hit on at least 95% of its points).
+   domain pool (Dae_sim.Runner), so sections that share points (fig6 and
+   table1 use the same paper-suite runs) pay for them once. Every job
+   rides one cached path, Dae_dse.Sweep's evaluator: one plan and one
+   functional execution per kernel × arch × partition (memoized per
+   domain), each configuration a replay of the stored traces, and every
+   verdict kept in the on-disk result cache (--cache-dir), so a warm
+   bench executes nothing; the sizing section probes the same jobs.
+   --no-cache gives the cold timings a BENCH_N.json records. The per-job
+   results — cycles,
+   mis-speculation rate, area, wall-clock, GC pressure, the pool's own
+   scheduling statistics (per-domain utilization, steal counts), and the
+   channel-sizing analyzer's per-channel minimum depths and deadlock
+   verdict — are written to BENCH_10.json (with per-section job counts
+   and wall-clocks) so the perf trajectory is machine-readable. The leak section adds the static speculative-leakage census
+   (taint sources and leak sites per kernel and mode; `daec leak`'s
+   verdicts). The mlp section re-runs DAE on the graph/irregular kernels
+   under the cache hierarchy at 1, 2 and the partitioner's natural N
+   access units (jobs keyed with a `#uN` suffix). The sweep section
+   additionally runs the re-timing DSE engine cold and warm — over both
+   the capacity grid and the hierarchy grid — and records every pass's
+   throughput and hit rate (the hierarchy warm pass must hit on at least
+   95% of its points).
 
    --quick swaps the paper suite for the small test-suite instances and
    runs fig6 only: a seconds-long sweep whose cycle counts are pinned
@@ -72,7 +72,8 @@ type sim_out = {
   o_pcall : int;
   o_killed : int;
   o_committed : int;
-  o_stats : Dae_sim.Stats.keyed; (* per-unit cycle attribution *)
+  o_stats : (string * (string * int) list) list;
+      (* per-unit cycle attribution, the complete partition *)
   o_check_errors : int; (* soundness-checker diagnostics on the compile *)
   o_check_warnings : int;
   o_min_depths : (string * int) list; (* sizing analyzer minimum per channel *)
@@ -111,8 +112,7 @@ let req ?(cfg = Dae_sim.Config.default) ?partition ~kernel ~arch mk =
     r_mk = mk;
   }
 
-(* config-dependent but simulation-free derivations shared by the
-   single-point and re-timed paths *)
+(* config-dependent but simulation-free derivations of the job's plan *)
 let pipeline_facts ~cfg (p : Dae_core.Pipeline.t option) =
   let pblk, pcall =
     match p with
@@ -146,77 +146,20 @@ let pipeline_facts ~cfg (p : Dae_core.Pipeline.t option) =
   in
   (pblk, pcall, check_errors, check_warnings, min_depths, sizing_verdict)
 
-let run_req_single (r : sim_req) : sim_out =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  let k = r.r_mk () in
-  let res =
-    Dae_sim.Machine.simulate ~cfg:r.r_cfg ?partition:r.r_partition r.r_arch
-      (k.Kernels.build ())
-      ~invocations:(k.Kernels.invocations ())
-      ~mem:(k.Kernels.init_mem ())
-  in
-  (match k.Kernels.check res.Dae_sim.Machine.memory with
-  | Ok () -> ()
-  | Error msg ->
-    Fmt.failwith "%s/%s failed its reference check: %s" k.Kernels.name
-      (Dae_sim.Machine.arch_name r.r_arch)
-      msg);
-  let pblk, pcall, check_errors, check_warnings, min_depths, sizing_verdict =
-    pipeline_facts ~cfg:r.r_cfg res.Dae_sim.Machine.pipeline
-  in
-  let g1 = Gc.quick_stat () in
-  {
-    o_kernel = r.r_kernel;
-    o_arch = Dae_sim.Machine.arch_name r.r_arch;
-    o_cfg = Dae_sim.Config.key r.r_cfg;
-    o_cycles = res.Dae_sim.Machine.cycles;
-    o_misspec = res.Dae_sim.Machine.misspec_rate;
-    o_area_total = res.Dae_sim.Machine.area.Dae_sim.Area.total;
-    o_area_cu = res.Dae_sim.Machine.area.Dae_sim.Area.cu;
-    o_area_agu = res.Dae_sim.Machine.area.Dae_sim.Area.agu;
-    o_pblk = pblk;
-    o_pcall = pcall;
-    o_killed = res.Dae_sim.Machine.killed_stores;
-    o_committed = res.Dae_sim.Machine.committed_stores;
-    o_stats = res.Dae_sim.Machine.stats;
-    o_check_errors = check_errors;
-    o_check_warnings = check_warnings;
-    o_min_depths = min_depths;
-    o_sizing_verdict = sizing_verdict;
-    o_wall_s = Unix.gettimeofday () -. t0;
-    o_gc_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-    o_gc_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-    o_gc_minor_collections =
-      g1.Gc.minor_collections - g0.Gc.minor_collections;
-    o_gc_major_collections =
-      g1.Gc.major_collections - g0.Gc.major_collections;
-  }
+(* --- every job rides the cached evaluator ------------------------------------- *)
 
-(* --- hierarchy jobs ride the re-timing engine -------------------------------- *)
-
-(* Every memory-hierarchy job (mem and mlp sections: Hierarchy config,
-   decoupled arch) is one kernel × arch functionally executed under
-   several cache/DRAM points. Route them through Retime — one prepare per
-   (kernel, arch, partition) per domain, each point a cheap trace replay —
-   and memoize the replayed verdicts in the on-disk result cache, so a
-   warm bench run re-times nothing. Machine.simulate is itself
-   Retime.plan + prepare + simulate, so sharing one prepare across points
-   replays exactly what a per-point Machine.simulate would, and the
-   "key cycles" goldens cannot drift. *)
+(* Each job is one Sweep.eval point (see the header). Machine.simulate is
+   itself plan + prepare + simulate, so sharing one prepare across points
+   replays exactly what a per-point Machine.simulate would. *)
 
 (* set by the driver from --no-cache / --cache-dir before the pool runs *)
 let bench_cache = ref (Dae_sim.Cache.disabled ())
 
-let retimeable (r : sim_req) =
-  r.r_arch <> Dae_sim.Machine.Sta
-  && match r.r_cfg.Dae_sim.Config.hierarchy with
-     | Dae_sim.Config.Hierarchy _ -> true
-     | Dae_sim.Config.Scratchpad -> false
-
-(* one plan/prepare per (kernel, arch, partition) — the config is not
-   part of the identity *)
-let plan_key (r : sim_req) =
+(* one evaluator job per (kernel, arch, partition) — the config is not
+   part of the identity. A kernel id names one kernel within a run: a
+   bare suite name is always the bench suite's kernel (under --quick
+   too); any other instance carries its parameters in its id. *)
+let job_key (r : sim_req) =
   Printf.sprintf "%s:%s%s" r.r_kernel
     (Dae_sim.Machine.arch_name r.r_arch)
     (match r.r_partition with
@@ -224,117 +167,68 @@ let plan_key (r : sim_req) =
     | Some (a : Dae_core.Decouple.assignment) ->
       Printf.sprintf "#u%d" a.Dae_core.Decouple.n_access)
 
-(* representative request per plan key; filled (then read-only) by the
+(* representative request per job key; filled (then read-only) by the
    driver before the pool fans out *)
-let prep_reqs : (string, sim_req) Hashtbl.t = Hashtbl.create 32
-
-let plan_for =
-  Dae_sim.Runner.memoize (fun pkey ->
-      let r = Hashtbl.find prep_reqs pkey in
-      let k = r.r_mk () in
-      (k, Dae_sim.Retime.plan ?partition:r.r_partition r.r_arch
-            (k.Kernels.build ())))
-
-let prepared_for =
-  Dae_sim.Runner.memoize (fun pkey ->
-      let k, plan = plan_for pkey in
-      let prepared =
-        Dae_sim.Retime.prepare plan
-          ~invocations:(k.Kernels.invocations ())
-          ~mem:(k.Kernels.init_mem ())
-      in
-      (* reference-check the functional execution once; every re-timed
-         point shares this memory, exactly as the single-point path's
-         per-point check would see it *)
-      (match k.Kernels.check (Dae_sim.Retime.final_memory prepared) with
-      | Ok () -> ()
-      | Error msg ->
-        Fmt.failwith "%s failed its reference check: %s" pkey msg);
-      (* observability stamp: `daec cache stats` counts prepared plans *)
-      Dae_sim.Cache.store ~kind:"plan" !bench_cache
-        (Dae_sim.Cache.key
-           [ Dae_sim.Cache.version; "plan-stamp/1";
-             Dae_sim.Retime.plan_digest plan ])
-        (Dae_sim.Retime.plan_digest plan);
-      prepared)
-
-(* on-disk payload of one re-timed hierarchy point; the key pins engine
-   version, plan digest, workload instance and configuration *)
-type retime_point = {
-  rt_cycles : int;
-  rt_killed : int;
-  rt_committed : int;
-  rt_stats : Dae_sim.Stats.keyed;
-}
+let job_reqs : (string, sim_req) Hashtbl.t = Hashtbl.create 32
 
 let suite_tag () = if !quick then "quick/" else "paper/"
 
-let run_req_retimed (r : sim_req) : sim_out =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  let cache = !bench_cache in
-  let _, plan = plan_for (plan_key r) in
-  let key =
-    Dae_sim.Cache.key
-      [
-        Dae_sim.Cache.version;
-        "retime-point/1";
-        Dae_sim.Retime.plan_digest plan;
-        suite_tag () ^ r.r_kernel;
-        Dae_sim.Config.key r.r_cfg;
-      ]
-  in
-  let rt =
-    match (Dae_sim.Cache.find cache key : retime_point option) with
-    | Some rt -> rt
-    | None ->
-      let res =
-        Dae_sim.Retime.simulate ~cfg:r.r_cfg (prepared_for (plan_key r))
-      in
-      let rt =
+(* The cache instance is the job's kernel id, not the kernel's name:
+   table2's hist~r10..r50 and the ablation's bfs~g128e1200 reuse the
+   names (and possibly the plan digests) of other jobs' kernels. *)
+let job_for =
+  Dae_sim.Runner.memoize (fun jkey ->
+      let r = Hashtbl.find job_reqs jkey in
+      let w =
         {
-          rt_cycles = res.Dae_sim.Machine.cycles;
-          rt_killed = res.Dae_sim.Machine.killed_stores;
-          rt_committed = res.Dae_sim.Machine.committed_stores;
-          rt_stats = res.Dae_sim.Machine.stats;
+          (Dae_dse.Sweep.workload_of_kernel ~suite:"paper" (r.r_mk ())) with
+          Dae_dse.Sweep.w_instance = suite_tag () ^ r.r_kernel;
         }
       in
-      Dae_sim.Cache.store ~kind:"retime" cache key rt;
-      rt
+      Dae_dse.Sweep.job ~cache:!bench_cache w
+        (Dae_sim.Retime.plan ?partition:r.r_partition r.r_arch
+           w.Dae_dse.Sweep.w_func))
+
+let run_req (r : sim_req) : sim_out =
+  let t0 = Unix.gettimeofday () in
+  let g0 = Gc.quick_stat () in
+  Dae_sim.Config.validate r.r_cfg;
+  let job = job_for (job_key r) in
+  let pt = Dae_dse.Sweep.eval job r.r_cfg in
+  let cycles =
+    match pt.Dae_dse.Sweep.pt_status with
+    | Dae_dse.Sweep.Cycles c -> c
+    | Dae_dse.Sweep.Deadlock ->
+      Fmt.failwith "%s/%s deadlocked at %s" r.r_kernel
+        (Dae_sim.Machine.arch_name r.r_arch)
+        pt.Dae_dse.Sweep.pt_cfg
   in
   (* everything else is simulation-free: compile-level facts from the
      plan, area from the configuration *)
-  let pipeline = Dae_sim.Retime.pipeline plan in
-  let p =
-    match pipeline with Some p -> p | None -> assert false (* not STA *)
-  in
-  let area =
-    match r.r_arch with
-    | Dae_sim.Machine.Oracle ->
-      Dae_sim.Area.decoupled ~cfg:r.r_cfg ~ignore_poison:true p
-    | _ -> Dae_sim.Area.decoupled ~cfg:r.r_cfg p
-  in
+  let plan = Dae_dse.Sweep.job_plan job in
+  let area = Dae_sim.Retime.area plan ~cfg:r.r_cfg in
   let pblk, pcall, check_errors, check_warnings, min_depths, sizing_verdict =
-    pipeline_facts ~cfg:r.r_cfg pipeline
+    pipeline_facts ~cfg:r.r_cfg (Dae_sim.Retime.pipeline plan)
   in
-  let total = rt.rt_killed + rt.rt_committed in
+  let killed = pt.Dae_dse.Sweep.pt_killed
+  and committed = pt.Dae_dse.Sweep.pt_committed in
   let g1 = Gc.quick_stat () in
   {
     o_kernel = r.r_kernel;
     o_arch = Dae_sim.Machine.arch_name r.r_arch;
-    o_cfg = Dae_sim.Config.key r.r_cfg;
-    o_cycles = rt.rt_cycles;
+    o_cfg = pt.Dae_dse.Sweep.pt_cfg;
+    o_cycles = cycles;
     o_misspec =
-      (if total = 0 then 0.0
-       else float_of_int rt.rt_killed /. float_of_int total);
+      (if killed + committed = 0 then 0.0
+       else float_of_int killed /. float_of_int (killed + committed));
     o_area_total = area.Dae_sim.Area.total;
     o_area_cu = area.Dae_sim.Area.cu;
     o_area_agu = area.Dae_sim.Area.agu;
     o_pblk = pblk;
     o_pcall = pcall;
-    o_killed = rt.rt_killed;
-    o_committed = rt.rt_committed;
-    o_stats = rt.rt_stats;
+    o_killed = killed;
+    o_committed = committed;
+    o_stats = pt.Dae_dse.Sweep.pt_stats;
     o_check_errors = check_errors;
     o_check_warnings = check_warnings;
     o_min_depths = min_depths;
@@ -347,9 +241,6 @@ let run_req_retimed (r : sim_req) : sim_out =
     o_gc_major_collections =
       g1.Gc.major_collections - g0.Gc.major_collections;
   }
-
-let run_req (r : sim_req) : sim_out =
-  if retimeable r then run_req_retimed r else run_req_single r
 
 (* Filled once by the pool; sections read it through [get]. *)
 let table : (string, sim_out) Hashtbl.t = Hashtbl.create 128
@@ -365,23 +256,20 @@ let harmonic_mean xs =
 
 (* --- Figure 6 / Table 1: the paper suite over all four architectures ------- *)
 
+(* a bench-suite kernel, rebuilt by name in the worker domain *)
+let suite_kernel name () =
+  match Kernels.by_name (bench_suite ()) name with
+  | Some k -> k
+  | None -> Fmt.failwith "bench: no suite kernel %s" name
+
+let suite_req ?cfg name arch = req ?cfg ~kernel:name ~arch (suite_kernel name)
+
 let suite_reqs () =
   List.concat_map
     (fun (k : Kernels.t) ->
-      List.map
-        (fun arch ->
-          req ~kernel:k.Kernels.name ~arch (fun () ->
-              match Kernels.by_name (bench_suite ()) k.Kernels.name with
-              | Some k -> k
-              | None -> assert false))
-        archs)
+      List.map (suite_req k.Kernels.name) archs)
     (bench_suite ())
 
-let suite_req name arch =
-  req ~kernel:name ~arch (fun () ->
-      match Kernels.by_name (bench_suite ()) name with
-      | Some k -> k
-      | None -> assert false)
 
 let fig6_print () =
   Fmt.pr "@.== Figure 6: performance normalized to STA (higher is better) ==@.";
@@ -537,11 +425,11 @@ let ablation_sq_req sq =
 
 let ablation_lat_req arch l =
   let cfg = { Dae_sim.Config.default with Dae_sim.Config.fifo_latency = l } in
-  req ~cfg ~kernel:"hist" ~arch (fun () -> Kernels.hist ())
+  suite_req ~cfg "hist" arch
 
 let ablation_vw_kernels =
   [
-    ("thr", "thr", fun () -> Kernels.thr ());
+    ("thr", "thr", suite_kernel "thr");
     (* six mostly-killed store requests per iteration on one channel:
        exactly the "vector of speculative requests + store mask" shape
        §10 sketches — kills need no memory port, so the channel and kill
@@ -687,12 +575,22 @@ let ablation_print () =
 
 (* --- channel-sizing sweep: the static analyzer vs the simulator -------------- *)
 
-(* For every paper-suite kernel in both decoupled modes: run the sizing
+(* For every suite kernel in both decoupled modes: run the sizing
    analyzer at the default config, re-simulate at the analyzer's minimum
    safe depths (must complete deadlock-free within the predicted cycle
    bound), then decrement the critical channel's class knob below its
    minimum and confirm the simulator either trips its dynamic deadlock
-   detector or degrades rather than completing faster. *)
+   detector or degrades rather than completing faster. Both probes are
+   Sweep.validate_sizing on fig6's job for the kernel, sharing cache
+   entries with `daec size --validate`. *)
+let sizing_modes = [ ("dae", Dae_sim.Machine.Dae); ("spec", Dae_sim.Machine.Spec) ]
+
+let sizing_reqs () =
+  List.concat_map
+    (fun (k : Kernels.t) ->
+      List.map (fun (_, arch) -> suite_req k.Kernels.name arch) sizing_modes)
+    (bench_suite ())
+
 let sizing_print () =
   Fmt.pr "@.== Channel sizing: static minimums cross-validated in the sim ==@.";
   Fmt.pr "%-6s %-5s %4s %8s %-14s %10s %12s  %s@." "kernel" "mode" "min"
@@ -700,78 +598,65 @@ let sizing_print () =
   List.iter
     (fun (k : Kernels.t) ->
       List.iter
-        (fun (mname, mode, arch) ->
-          match
-            Dae_core.Pipeline.compile ~mode
-              (Dae_ir.Func.clone ((k.Kernels.build) ()))
-          with
-          | exception Dae_core.Pipeline.Compile_error e ->
-            Fmt.pr "%-6s %-5s compile error: %s@." k.Kernels.name mname e
-          | p -> (
-            match
-              Dae_analysis.Sizing.analyze ~cfg:Dae_sim.Config.default p
-            with
-            | Error _ ->
-              Fmt.pr "%-6s %-5s (segment budget exceeded, skipped)@."
-                k.Kernels.name mname
-            | Ok sz ->
-              let fold f init =
-                List.fold_left f init sz.Dae_analysis.Sizing.channels
-              in
-              let min_max =
-                fold (fun a s -> max a s.Dae_analysis.Sizing.sz_min) 1
-              in
-              let matched_max =
-                fold (fun a s -> max a s.Dae_analysis.Sizing.sz_matched) 1
-              in
-              (* one functional execution; both the minimum-depth run and
-                 the boundary probe only replay its stored traces *)
-              let prepared =
-                Dae_sim.Retime.prepare
-                  (Dae_sim.Retime.plan arch (k.Kernels.build ()))
-                  ~invocations:(k.Kernels.invocations ())
-                  ~mem:(k.Kernels.init_mem ())
-              in
-              let simulate ?(validate = true) cfg =
-                Dae_sim.Retime.simulate ~validate ~collect:true ~cfg prepared
-              in
-              let r = simulate sz.Dae_analysis.Sizing.min_cfg in
-              let bound =
-                Dae_analysis.Sizing.bound_of_timelines sz
-                  r.Dae_sim.Machine.timelines
-              in
-              if r.Dae_sim.Machine.cycles > bound then
-                Fmt.failwith
-                  "%s (%s): %d cycles at the analyzer's minimum depths \
-                   exceed the predicted bound %d"
-                  k.Kernels.name mname r.Dae_sim.Machine.cycles bound;
-              let critical, probe =
-                match Dae_analysis.Sizing.critical_decrement sz with
-                | None -> ("-", "no critical channel")
-                | Some (kind, probe_cfg) -> (
-                  let cname = Dae_analysis.Channel.name kind in
-                  match simulate ~validate:false probe_cfg with
-                  | r' ->
-                    ( cname,
-                      Printf.sprintf "%d cycles (%+.1f%% vs min)"
-                        r'.Dae_sim.Machine.cycles
-                        (100.
-                        *. (float_of_int r'.Dae_sim.Machine.cycles
-                            /. float_of_int r.Dae_sim.Machine.cycles
-                           -. 1.)) )
-                  | exception Dae_sim.Timing.Deadlock _ ->
-                    (cname, "dynamic deadlock (as predicted)")
-                  | exception Invalid_argument _ ->
-                    (cname, "rejected by Config.validate"))
-              in
-              Fmt.pr "%-6s %-5s %4d %8d %-14s %10d %12d  %s@." k.Kernels.name
-                mname min_max matched_max critical r.Dae_sim.Machine.cycles
-                bound probe))
-        [
-          ("dae", Dae_core.Pipeline.Dae, Dae_sim.Machine.Dae);
-          ("spec", Dae_core.Pipeline.Spec, Dae_sim.Machine.Spec);
-        ])
-    (Kernels.paper_suite ());
+        (fun (mname, arch) ->
+          let job = job_for (job_key (suite_req k.Kernels.name arch)) in
+          (* a decoupled plan always carries its pipeline *)
+          let p =
+            Option.get (Dae_sim.Retime.pipeline (Dae_dse.Sweep.job_plan job))
+          in
+          match Dae_analysis.Sizing.analyze ~cfg:Dae_sim.Config.default p with
+          | Error _ ->
+            Fmt.pr "%-6s %-5s (segment budget exceeded, skipped)@."
+              k.Kernels.name mname
+          | Ok sz ->
+            let fold f init =
+              List.fold_left f init sz.Dae_analysis.Sizing.channels
+            in
+            let min_max =
+              fold (fun a s -> max a s.Dae_analysis.Sizing.sz_min) 1
+            in
+            let matched_max =
+              fold (fun a s -> max a s.Dae_analysis.Sizing.sz_matched) 1
+            in
+            let v =
+              Dae_dse.Sweep.validate_sizing job ~cfg:Dae_sim.Config.default
+                ~path_limit:Dae_core.Poison.default_path_limit sz
+            in
+            let cycles, bound =
+              match v.Dae_dse.Sweep.sv_min with
+              | Ok cb -> cb
+              | Error e ->
+                Fmt.failwith "%s (%s): run at the analyzer's minimum depths \
+                              failed: %s" k.Kernels.name mname e
+            in
+            if cycles > bound then
+              Fmt.failwith
+                "%s (%s): %d cycles at the analyzer's minimum depths exceed \
+                 the predicted bound %d"
+                k.Kernels.name mname cycles bound;
+            let critical, probe =
+              match v.Dae_dse.Sweep.sv_probe with
+              | None -> ("-", "no critical channel")
+              | Some (kind, outcome) -> (
+                let cname = Dae_analysis.Channel.name kind in
+                match outcome with
+                | Ok (Dae_dse.Sweep.Probe_cycles c) ->
+                  ( cname,
+                    Printf.sprintf "%d cycles (%+.1f%% vs min)" c
+                      (100. *. (float_of_int c /. float_of_int cycles -. 1.))
+                  )
+                | Ok (Dae_dse.Sweep.Probe_deadlock _) ->
+                  (cname, "dynamic deadlock (as predicted)")
+                | Ok (Dae_dse.Sweep.Probe_rejected _) ->
+                  (cname, "rejected by Config.validate")
+                | Error e ->
+                  Fmt.failwith "%s (%s): %s min-1 probe failed: %s"
+                    k.Kernels.name mname cname e)
+            in
+            Fmt.pr "%-6s %-5s %4d %8d %-14s %10d %12d  %s@." k.Kernels.name
+              mname min_max matched_max critical cycles bound probe)
+        sizing_modes)
+    (bench_suite ());
   Fmt.pr
     "(analyzer minimums keep every kernel deadlock-free; one step below \
      the critical channel's minimum is the deadlock boundary)@."
@@ -953,11 +838,7 @@ let mem_cfg geom =
     Dae_sim.Config.hierarchy = Dae_sim.Config.Hierarchy geom;
   }
 
-let mem_req geom name arch =
-  req ~cfg:(mem_cfg geom) ~kernel:name ~arch (fun () ->
-      match Kernels.by_name (bench_suite ()) name with
-      | Some k -> k
-      | None -> assert false)
+let mem_req geom = suite_req ~cfg:(mem_cfg geom)
 
 let mem_reqs () =
   List.concat_map
@@ -1029,11 +910,7 @@ let mlp_units name =
     List.sort_uniq compare [ 1; min 2 n; n ]
 
 let mlp_req name units =
-  let mk () =
-    match Kernels.by_name (bench_suite ()) name with
-    | Some k -> k
-    | None -> assert false
-  in
+  let mk = suite_kernel name in
   let partition =
     if units <= 1 then None
     else
@@ -1263,18 +1140,18 @@ let write_json ~path ~sections ~domains ~wall_s ~pool ~section_stats
      \"seed_fig6_table1_wall_s\": %.1f },\n"
     bench5_suite_wall_s bench5_suite_jobs bench4_fig6_table1_wall_s
     bench4_suite_wall_s seed_fig6_table1_wall_s;
-  let stats_json (stats : Dae_sim.Stats.keyed) =
-    (* nonzero causes only: the full 11-row vector is mostly zeros *)
+  let stats_json stats =
+    (* nonzero causes only: the full partition is mostly zeros *)
     String.concat ", "
       (List.map
-         (fun (unit, c) ->
+         (fun (unit, causes) ->
            Printf.sprintf "\"%s\": { %s }" (Json.escape unit)
              (String.concat ", "
                 (List.filter_map
                    (fun (cause, n) ->
                      if n = 0 then None
                      else Some (Printf.sprintf "\"%s\": %d" cause n))
-                   (Dae_sim.Stats.to_list c))))
+                   causes)))
          stats)
   in
   p "  \"results\": [\n";
@@ -1321,7 +1198,7 @@ let sections_all =
     { s_name = "table2"; s_reqs = table2_reqs; s_print = table2_print };
     { s_name = "fig7"; s_reqs = fig7_reqs; s_print = fig7_print };
     { s_name = "ablation"; s_reqs = ablation_reqs; s_print = ablation_print };
-    { s_name = "sizing"; s_reqs = (fun () -> []); s_print = sizing_print };
+    { s_name = "sizing"; s_reqs = sizing_reqs; s_print = sizing_print };
     { s_name = "leak"; s_reqs = (fun () -> []); s_print = leak_print };
     { s_name = "sweep"; s_reqs = (fun () -> []); s_print = sweep_print };
     { s_name = "mem"; s_reqs = mem_reqs; s_print = mem_print };
@@ -1386,9 +1263,9 @@ let () =
       parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* the hierarchy-job memoization cache; --no-cache re-times every
-     point, --cache-dir isolates runs (the CI mem-quick rule does both
-     passes against a sandbox-local directory) *)
+  (* every job's result cache; --no-cache re-times every point (cold
+     timings), --cache-dir isolates runs (the CI retime-quick rule does
+     both passes against a sandbox-local directory) *)
   bench_cache :=
     (if !no_cache then Dae_sim.Cache.disabled ()
      else Dae_sim.Cache.create ~dir:!cache_dir ());
@@ -1410,11 +1287,11 @@ let () =
     (fun r -> if not (Hashtbl.mem by_key r.r_key) then Hashtbl.add by_key r.r_key r)
     reqs;
   (* register one representative request per (kernel, arch, partition)
-     before the fan-out: prep_reqs is read-only once workers start *)
+     before the fan-out: job_reqs is read-only once workers start *)
   Hashtbl.iter
     (fun _ r ->
-      if retimeable r && not (Hashtbl.mem prep_reqs (plan_key r)) then
-        Hashtbl.add prep_reqs (plan_key r) r)
+      if not (Hashtbl.mem job_reqs (job_key r)) then
+        Hashtbl.add job_reqs (job_key r) r)
     by_key;
   let compute =
     Dae_sim.Runner.memoize (fun key -> run_req (Hashtbl.find by_key key))

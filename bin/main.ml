@@ -966,12 +966,6 @@ let sizing_json ~kernel ~mode (sz : Dae_analysis.Sizing.t) =
       [ ("deadlock_cycles", Json.List (List.map (fun c -> Json.Str c) cycles)) ]
     | Sizing.Deadlock_free -> [])
 
-(* memoized outcome of the min-1 boundary probe (see validate_sim) *)
-type probe_outcome =
-  | P_cycles of int
-  | P_deadlock of string
-  | P_rejected of string
-
 let size_cmd =
   let modes_of = function
     | `Dae -> [ Dae_core.Pipeline.Dae ]
@@ -986,13 +980,10 @@ let size_cmd =
      minimum depths must complete within the predicted cycle bound, and
      the critical channel at minimum-1 must be rejected by
      Config.validate and then (validation off) either trip the dynamic
-     deadlock detector or run no faster than the minimum. Both probes
-     ride the re-timing engine: the functional execution runs (lazily) at
-     most once and each boundary configuration only replays the stored
-     traces. Probe outcomes are memoized in the on-disk result cache —
-     keyed by plan digest × base/probe configurations × path budget — so
-     a warm `size --validate` prints the same report without executing a
-     single instruction. *)
+     deadlock detector or run no faster than the minimum. Sweep's
+     evaluator runs both probes on one lazily prepared job and memoizes
+     them in the on-disk result cache, so a warm `size --validate`
+     prints the same report without executing a single instruction. *)
   let validate_sim ~cache ~cfg ~path_limit ~mode
       (k : Dae_workloads.Kernels.t) (sz : Dae_analysis.Sizing.t) : bool =
     let arch =
@@ -1000,91 +991,33 @@ let size_cmd =
       | Dae_core.Pipeline.Dae -> Dae_sim.Machine.Dae
       | Dae_core.Pipeline.Spec -> Dae_sim.Machine.Spec
     in
-    let plan =
-      Dae_sim.Retime.plan arch (k.Dae_workloads.Kernels.build ())
+    let w = Dae_dse.Sweep.workload_of_kernel ~suite:"paper" k in
+    let job =
+      Dae_dse.Sweep.job ~cache w
+        (Dae_sim.Retime.plan arch w.Dae_dse.Sweep.w_func)
     in
-    let prepared =
-      lazy
-        (Dae_sim.Retime.prepare plan
-           ~invocations:(k.Dae_workloads.Kernels.invocations ())
-           ~mem:(k.Dae_workloads.Kernels.init_mem ()))
-    in
-    let simulate ?(validate = true) ~collect cfg =
-      Dae_sim.Retime.simulate ~validate ~collect ~cfg (Lazy.force prepared)
-    in
-    let vkey sub cfg' =
-      Dae_sim.Cache.key
-        [
-          Dae_sim.Cache.version;
-          "size-validate/1";
-          sub;
-          Dae_sim.Retime.plan_digest plan;
-          "paper/" ^ k.Dae_workloads.Kernels.name;
-          string_of_int path_limit;
-          Dae_sim.Config.key cfg;
-          Dae_sim.Config.key cfg';
-        ]
-    in
-    let ok = ref true in
-    let min_cfg = sz.Dae_analysis.Sizing.min_cfg in
-    (let key = vkey "min" min_cfg in
-     let outcome =
-       match (Dae_sim.Cache.find cache key : (int * int) option) with
-       | Some cb -> Ok cb
-       | None -> (
-         match simulate ~collect:true min_cfg with
-         | r ->
-           let b =
-             Dae_analysis.Sizing.bound_of_timelines sz
-               r.Dae_sim.Machine.timelines
-           in
-           let cb = (r.Dae_sim.Machine.cycles, b) in
-           Dae_sim.Cache.store ~kind:"size-validate" cache key cb;
-           Ok cb
-         | exception e -> Error e)
-     in
-     match outcome with
-     | Ok (cycles, b) ->
-       let fits = cycles <= b in
-       if not fits then ok := false;
-       Fmt.pr "  sim at min depths: %d cycles (bound %d) %s@." cycles b
-         (if fits then "ok" else "EXCEEDS BOUND")
-     | Error e ->
-       ok := false;
-       Fmt.pr "  sim at min depths: FAILED (%s)@." (Printexc.to_string e));
-    (match Dae_analysis.Sizing.critical_decrement sz with
+    let v = Dae_dse.Sweep.validate_sizing job ~cfg ~path_limit sz in
+    (match v.Dae_dse.Sweep.sv_min with
+    | Ok (cycles, b) ->
+      Fmt.pr "  sim at min depths: %d cycles (bound %d) %s@." cycles b
+        (if cycles <= b then "ok" else "EXCEEDS BOUND")
+    | Error e -> Fmt.pr "  sim at min depths: FAILED (%s)@." e);
+    (match v.Dae_dse.Sweep.sv_probe with
     | None -> ()
-    | Some (kind, probe_cfg) -> (
+    | Some (kind, outcome) -> (
       let cname = Dae_analysis.Channel.name kind in
-      let key = vkey "probe" probe_cfg in
-      let outcome =
-        match (Dae_sim.Cache.find cache key : probe_outcome option) with
-        | Some o -> Ok o
-        | None -> (
-          let keep o =
-            Dae_sim.Cache.store ~kind:"size-validate" cache key o;
-            Ok o
-          in
-          match simulate ~validate:false ~collect:false probe_cfg with
-          | r -> keep (P_cycles r.Dae_sim.Machine.cycles)
-          | exception Dae_sim.Timing.Deadlock msg -> keep (P_deadlock msg)
-          | exception Invalid_argument msg -> keep (P_rejected msg)
-          | exception e -> Error e)
-      in
       match outcome with
-      | Ok (P_cycles c) ->
+      | Ok (Dae_dse.Sweep.Probe_cycles c) ->
         Fmt.pr "  sim at %s min-1: %d cycles (no deadlock: stall shifts)@."
           cname c
-      | Ok (P_deadlock msg) ->
+      | Ok (Dae_dse.Sweep.Probe_deadlock msg) ->
         Fmt.pr "  sim at %s min-1: dynamic deadlock reproduced (%s)@." cname
           msg
-      | Ok (P_rejected msg) ->
+      | Ok (Dae_dse.Sweep.Probe_rejected msg) ->
         Fmt.pr "  sim at %s min-1: rejected (%s)@." cname msg
       | Error e ->
-        ok := false;
-        Fmt.pr "  sim at %s min-1: unexpected failure (%s)@." cname
-          (Printexc.to_string e)));
-    !ok
+        Fmt.pr "  sim at %s min-1: unexpected failure (%s)@." cname e));
+    Dae_dse.Sweep.sizing_ok v
   in
   let run file kernel all_kernels mode json validate sq lq fifo_lat req_fifo
       val_fifo stv_fifo hierarchy no_cache cache_dir path_limit =
@@ -1520,9 +1453,8 @@ let cache_cmd =
       Fmt.pr "dir:     %s@.engine:  %s@.entries: %d@.bytes:   %d@."
         cache_dir Dae_sim.Cache.version d.Dae_sim.Cache.entries
         d.Dae_sim.Cache.bytes;
-      (* prepared-plan stamps and re-timed hierarchy points are cheap and
-         plentiful; fused sweep points are the expensive ones — report the
-         populations separately *)
+      (* re-timed points (sweep and bench) and size --validate probes —
+         report the populations separately *)
       List.iter
         (fun (kind, (n, b)) ->
           Fmt.pr "  %-14s %d entr%s, %d bytes@." kind n

@@ -6,7 +6,8 @@
    executes a single instruction, and a fully cold job executes each
    invocation exactly once for the whole grid. Points carry their full
    stall partition so cached results remain cross-checkable bit-for-bit
-   against a fresh simulation. *)
+   against a fresh simulation. The job/eval pair is also the evaluator
+   the bench harness and `daec size --validate` run every point on. *)
 
 open Dae_ir
 module Machine = Dae_sim.Machine
@@ -124,6 +125,7 @@ type workload = {
   w_func : Func.t;
   w_invocations : Machine.invocation list;
   w_mem : Interp.Memory.t;
+  w_check : Interp.Memory.t -> (unit, string) result;
 }
 
 let workload_of_kernel ~suite (k : Kernels.t) =
@@ -133,6 +135,7 @@ let workload_of_kernel ~suite (k : Kernels.t) =
     w_func = k.Kernels.build ();
     w_invocations = k.Kernels.invocations ();
     w_mem = k.Kernels.init_mem ();
+    w_check = k.Kernels.check;
   }
 
 (* --- points ---------------------------------------------------------------- *)
@@ -187,21 +190,42 @@ type summary = {
 
 type t = { points : point list; summary : summary }
 
-(* --- one (workload, arch) job ---------------------------------------------- *)
+(* --- the evaluator: one cached plan -> prepare -> re-time job --------------- *)
 
-type job_out = {
-  j_points : (Config.t * point) list;
-  j_prepares : int;
-  j_checks : int;
-  j_check_failures : string list;
-  j_sizing_checked : int;
-  j_sizing_violations : string list;
+type job = {
+  j_cache : Cache.t;
+  j_workload : workload;
+  j_plan : Retime.plan;
+  j_prepared : Retime.prepared Lazy.t;
 }
 
-let point_of_cached w arch cfg_key (cp : cached_point) ~cached =
+let job ~cache w plan =
+  let prepared =
+    lazy
+      (let pr =
+         Retime.prepare plan ~invocations:w.w_invocations ~mem:w.w_mem
+       in
+       (* reference-check the functional run before any point derived
+          from it can be stored *)
+       (match w.w_check (Retime.final_memory pr) with
+       | Ok () -> ()
+       | Error msg ->
+         raise
+           (Retime.Check_failed
+              (Fmt.str "%s/%s: reference check: %s" w.w_name
+                 (Machine.arch_name (Retime.arch plan))
+                 msg)));
+       pr)
+  in
+  { j_cache = cache; j_workload = w; j_plan = plan; j_prepared = prepared }
+
+let job_plan j = j.j_plan
+let job_prepares j = if Lazy.is_val j.j_prepared then 1 else 0
+
+let point_of_cached j cfg_key (cp : cached_point) ~cached =
   {
-    pt_workload = w.w_name;
-    pt_arch = arch;
+    pt_workload = j.j_workload.w_name;
+    pt_arch = Retime.arch j.j_plan;
     pt_cfg = cfg_key;
     pt_status = cp.cp_status;
     pt_killed = cp.cp_killed;
@@ -210,25 +234,119 @@ let point_of_cached w arch cfg_key (cp : cached_point) ~cached =
     pt_cached = cached;
   }
 
+let cached_of_simulation run =
+  match run () with
+  | r ->
+    {
+      cp_status = Cycles r.Machine.cycles;
+      cp_killed = r.Machine.killed_stores;
+      cp_committed = r.Machine.committed_stores;
+      cp_stats = export_stats r.Machine.stats;
+    }
+  | exception Timing.Deadlock _ ->
+    { cp_status = Deadlock; cp_killed = 0; cp_committed = 0; cp_stats = [] }
+
+let eval j cfg =
+  let cfg_key = Config.key cfg in
+  let key =
+    Cache.key
+      [ Cache.version; payload_tag; Retime.plan_digest j.j_plan;
+        j.j_workload.w_instance; cfg_key ]
+  in
+  match (Cache.find j.j_cache key : cached_point option) with
+  | Some cp -> point_of_cached j cfg_key cp ~cached:true
+  | None ->
+    let cp =
+      cached_of_simulation (fun () ->
+          Retime.simulate ~validate:false ~cfg (Lazy.force j.j_prepared))
+    in
+    Cache.store ~kind:"sweep-point" j.j_cache key cp;
+    point_of_cached j cfg_key cp ~cached:false
+
+(* --- sizing validation: the analyzer's minima against the re-timed engine -- *)
+
+type probe =
+  | Probe_cycles of int
+  | Probe_deadlock of string
+  | Probe_rejected of string
+
+type sizing_validation = {
+  sv_min : (int * int, string) result;
+  sv_probe : (Dae_analysis.Channel.kind * (probe, string) result) option;
+}
+
+let sizing_ok v =
+  (match v.sv_min with Ok (cycles, bound) -> cycles <= bound | Error _ -> false)
+  && match v.sv_probe with Some (_, Error _) -> false | _ -> true
+
+(* [key]'s size-validate entry, or [compute]'s result — stored unless
+   an [Error] *)
+let memo j key compute =
+  match Cache.find j.j_cache key with
+  | Some v -> Ok v
+  | None ->
+    Result.map
+      (fun v ->
+        Cache.store ~kind:"size-validate" j.j_cache key v;
+        v)
+      (compute ())
+
+(* Both probes are memoized under the "size-validate/1" tag; the [sub]
+   component ("min" or "probe") keeps their two payload types apart. *)
+let validate_sizing j ~cfg ~path_limit (sz : Dae_analysis.Sizing.t) =
+  let vkey sub cfg' =
+    Cache.key
+      [ Cache.version; "size-validate/1"; sub; Retime.plan_digest j.j_plan;
+        j.j_workload.w_instance; string_of_int path_limit; Config.key cfg;
+        Config.key cfg' ]
+  in
+  let simulate ~validate ~collect cfg =
+    Retime.simulate ~validate ~collect ~cfg (Lazy.force j.j_prepared)
+  in
+  let min_cfg = sz.Dae_analysis.Sizing.min_cfg in
+  let sv_min =
+    memo j (vkey "min" min_cfg) (fun () ->
+        match simulate ~validate:true ~collect:true min_cfg with
+        | r ->
+          Ok
+            ( r.Machine.cycles,
+              Dae_analysis.Sizing.bound_of_timelines sz r.Machine.timelines )
+        | exception e -> Error (Printexc.to_string e))
+  in
+  let sv_probe =
+    Option.map
+      (fun (chan, probe_cfg) ->
+        ( chan,
+          memo j (vkey "probe" probe_cfg) (fun () ->
+              match simulate ~validate:false ~collect:false probe_cfg with
+              | r -> Ok (Probe_cycles r.Machine.cycles)
+              | exception Timing.Deadlock msg -> Ok (Probe_deadlock msg)
+              | exception Invalid_argument msg -> Ok (Probe_rejected msg)
+              | exception e -> Error (Printexc.to_string e)) ))
+      (Dae_analysis.Sizing.critical_decrement sz)
+  in
+  { sv_min; sv_probe }
+
+(* --- one (workload, arch) grid job ----------------------------------------- *)
+
+type job_out = {
+  o_points : (Config.t * point) list;
+  o_prepares : int;
+  o_checks : int;
+  o_check_failures : string list;
+  o_sizing_checked : int;
+  o_sizing_violations : string list;
+}
+
 (* Re-run one swept point from scratch — a fresh Machine.simulate, i.e.
    plan + prepare + simulate, sharing neither the cache nor the job's
    prepared traces — and compare verdict, cycles, kill/commit counts and
    the whole stall partition. *)
 let cross_check w (cfg, (pt : point)) =
   let full =
-    match
-      Machine.simulate ~cfg ~validate:false pt.pt_arch w.w_func
-        ~invocations:w.w_invocations ~mem:w.w_mem
-    with
-    | r ->
-      {
-        cp_status = Cycles r.Machine.cycles;
-        cp_killed = r.Machine.killed_stores;
-        cp_committed = r.Machine.committed_stores;
-        cp_stats = export_stats r.Machine.stats;
-      }
-    | exception Timing.Deadlock _ ->
-      { cp_status = Deadlock; cp_killed = 0; cp_committed = 0; cp_stats = [] }
+    cached_of_simulation (fun () ->
+        Machine.simulate ~cfg ~validate:false pt.pt_arch w.w_func
+          ~invocations:w.w_invocations ~mem:w.w_mem)
   in
   let where =
     Fmt.str "%s/%s@%s" w.w_name (Machine.arch_name pt.pt_arch) pt.pt_cfg
@@ -260,53 +378,8 @@ let covers ~(min : Config.t) (c : Config.t) =
   r >= mr && v >= mv && s >= ms && l >= ml && q >= mq
 
 let run_job ~cache ~base ~check ~sizing_check ~cfgs (w, arch) : job_out =
-  let plan = Retime.plan arch w.w_func in
-  let prepares = ref 0 in
-  let prepared =
-    lazy
-      (incr prepares;
-       Retime.prepare plan ~invocations:w.w_invocations ~mem:w.w_mem)
-  in
-  let points =
-    List.map
-      (fun cfg ->
-        let cfg_key = Config.key cfg in
-        let key =
-          Cache.key
-            [
-              Cache.version;
-              payload_tag;
-              Retime.plan_digest plan;
-              w.w_instance;
-              cfg_key;
-            ]
-        in
-        match (Cache.find cache key : cached_point option) with
-        | Some cp -> (cfg, point_of_cached w arch cfg_key cp ~cached:true)
-        | None ->
-          let cp =
-            match
-              Retime.simulate ~validate:false ~cfg (Lazy.force prepared)
-            with
-            | r ->
-              {
-                cp_status = Cycles r.Machine.cycles;
-                cp_killed = r.Machine.killed_stores;
-                cp_committed = r.Machine.committed_stores;
-                cp_stats = export_stats r.Machine.stats;
-              }
-            | exception Timing.Deadlock _ ->
-              {
-                cp_status = Deadlock;
-                cp_killed = 0;
-                cp_committed = 0;
-                cp_stats = [];
-              }
-          in
-          Cache.store ~kind:"sweep-point" cache key cp;
-          (cfg, point_of_cached w arch cfg_key cp ~cached:false))
-      cfgs
-  in
+  let j = job ~cache w (Retime.plan arch w.w_func) in
+  let points = List.map (fun cfg -> (cfg, eval j cfg)) cfgs in
   (* Sampled equivalence audit: [check] points spread over the grid,
      cached or not — a poisoned cache entry fails the same comparison a
      wrong replay would. *)
@@ -327,7 +400,7 @@ let run_job ~cache ~base ~check ~sizing_check ~cfgs (w, arch) : job_out =
      deadlock at capacities at or above the analyzer's minima would
      disprove the sizing proof. *)
   let sizing_checked, sizing_violations =
-    match (sizing_check, Retime.pipeline plan) with
+    match (sizing_check, Retime.pipeline j.j_plan) with
     | false, _ | _, None -> (0, [])
     | true, Some p -> (
       match Dae_analysis.Sizing.analyze ~cfg:base p with
@@ -348,12 +421,12 @@ let run_job ~cache ~base ~check ~sizing_check ~cfgs (w, arch) : job_out =
             points ))
   in
   {
-    j_points = points;
-    j_prepares = !prepares;
-    j_checks = List.length samples;
-    j_check_failures = failures;
-    j_sizing_checked = sizing_checked;
-    j_sizing_violations = sizing_violations;
+    o_points = points;
+    o_prepares = job_prepares j;
+    o_checks = List.length samples;
+    o_check_failures = failures;
+    o_sizing_checked = sizing_checked;
+    o_sizing_violations = sizing_violations;
   }
 
 let counters_diff (a : Cache.counters) (b : Cache.counters) : Cache.counters =
@@ -380,7 +453,7 @@ let run ?domains ?(base = Config.default) ?(check = 1) ?(sizing_check = true)
   let after = Cache.counters cache in
   let cache_delta = counters_diff before after in
   let points =
-    List.concat_map (fun j -> List.map snd j.j_points) (Array.to_list outs)
+    List.concat_map (fun j -> List.map snd j.o_points) (Array.to_list outs)
   in
   let sum f = Array.fold_left (fun acc j -> acc + f j) 0 outs in
   let gather f =
@@ -395,14 +468,14 @@ let run ?domains ?(base = Config.default) ?(check = 1) ?(sizing_check = true)
           List.length
             (List.filter (fun p -> p.pt_status = Deadlock) points);
         sm_wall_s = pool.Runner.p_wall_s;
-        sm_prepares = sum (fun j -> j.j_prepares);
+        sm_prepares = sum (fun j -> j.o_prepares);
         sm_cache = cache_delta;
         sm_hit_rate = Cache.hit_rate cache_delta;
         sm_pool = pool;
-        sm_checks = sum (fun j -> j.j_checks);
-        sm_check_failures = gather (fun j -> j.j_check_failures);
-        sm_sizing_checked = sum (fun j -> j.j_sizing_checked);
-        sm_sizing_violations = gather (fun j -> j.j_sizing_violations);
+        sm_checks = sum (fun j -> j.o_checks);
+        sm_check_failures = gather (fun j -> j.o_check_failures);
+        sm_sizing_checked = sum (fun j -> j.o_sizing_checked);
+        sm_sizing_violations = gather (fun j -> j.o_sizing_violations);
       };
   }
 

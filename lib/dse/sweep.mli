@@ -11,6 +11,9 @@
     a warm re-sweep touches neither {!Dae_sim.Exec} nor
     {!Dae_sim.Timing} — it is pure cache lookups.
 
+    The same evaluator ({!job}, {!eval}, {!validate_sizing}) runs every
+    bench job and [daec size --validate].
+
     Jobs fan out over the {!Dae_sim.Runner} work-stealing pool (one job
     per workload×arch; the grid loop runs inside the job, keeping cache
     and trace locality per domain).
@@ -81,11 +84,14 @@ type workload = {
   w_func : Func.t;
   w_invocations : Machine.invocation list;
   w_mem : Dae_ir.Interp.Memory.t;
+  w_check : Dae_ir.Interp.Memory.t -> (unit, string) result;
+      (** reference check of the final memory after each prepare *)
 }
 
 val workload_of_kernel : suite:string -> Dae_workloads.Kernels.t -> workload
-(** Builds the kernel's IR, memory image and invocation list;
-    [w_instance] is ["<suite>/<name>"]. *)
+(** Builds the kernel's IR, memory image and invocation list, with
+    {!Dae_workloads.Kernels.check} as [w_check]; [w_instance] is
+    ["<suite>/<name>"]. *)
 
 (** {1 Points and results} *)
 
@@ -104,6 +110,61 @@ type point = {
       (** unit -> stall cause -> cycles; the complete partition *)
   pt_cached : bool;  (** served from the on-disk cache *)
 }
+
+(** {1 The evaluator} *)
+
+type job
+(** One workload on one {!Dae_sim.Retime.plan} (the caller picks the
+    architecture and N-way partition), its lazily prepared traces, and
+    the cache its results are memoized in. *)
+
+val job : cache:Cache.t -> workload -> Dae_sim.Retime.plan -> job
+(** Does no work: the first cache miss prepares, then runs [w_check] on
+    the final memory. A golden-model or [w_check] failure raises
+    {!Dae_sim.Retime.Check_failed} (naming kernel and architecture) from
+    that {!eval} or {!validate_sizing}, and nothing is stored. *)
+
+val job_plan : job -> Dae_sim.Retime.plan
+
+val job_prepares : job -> int
+(** Functional executions this job has run: 0 or 1. *)
+
+val eval : job -> Config.t -> point
+(** The point at one configuration, from the cache or re-timed (with
+    validation off, so capacity-0 probes yield {!Deadlock}) and stored
+    under {!Cache.version}, ["sweep-point/1"], the plan digest,
+    [w_instance] and {!Config.key}. Callers that must reject an invalid
+    configuration run {!Config.validate} first. *)
+
+type probe =
+  | Probe_cycles of int  (** completed: the stall only shifts *)
+  | Probe_deadlock of string  (** the dynamic deadlock detector fired *)
+  | Probe_rejected of string  (** the engine refused the configuration *)
+
+type sizing_validation = {
+  sv_min : (int * int, string) result;
+      (** cycles and predicted bound at the analyzer's minimum depths *)
+  sv_probe : (Dae_analysis.Channel.kind * (probe, string) result) option;
+      (** the critical channel and its minimum − 1 run; [None] without a
+          critical channel *)
+}
+
+val validate_sizing :
+  job ->
+  cfg:Config.t ->
+  path_limit:int ->
+  Dae_analysis.Sizing.t ->
+  sizing_validation
+(** Cross-validate a sizing result (analyzed at [cfg] and [path_limit])
+    against the engine: re-time at [min_cfg] and bound the cycles, then
+    re-time the {!Dae_analysis.Sizing.critical_decrement} probe with
+    validation off. Outcomes other than [Error] are memoized under
+    ["size-validate/1"] keys, so a warm validation prepares nothing. *)
+
+val sizing_ok : sizing_validation -> bool
+(** The minimum-depth run met its bound and no run failed. *)
+
+(** {1 Sweeps} *)
 
 type summary = {
   sm_points : int;
@@ -134,7 +195,8 @@ val run :
   archs:Machine.arch list ->
   workload list ->
   t
-(** Sweep the full grid. [check] (default 1) samples that many completed
+(** Sweep the full grid: one {!job} per (workload, arch), {!eval} at
+    every configuration. [check] (default 1) samples that many completed
     points per (workload, arch) job and re-runs them through a fresh
     {!Machine.simulate} — its own plan, prepare and replay, sharing
     neither the cache nor the job's prepared traces — comparing cycles,

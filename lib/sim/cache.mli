@@ -1,6 +1,6 @@
 (** Content-addressed on-disk result cache.
 
-    `daec sweep` (and the re-timed [size --validate] path) memoize timing
+    `daec sweep`, the bench harness and [size --validate] memoize timing
     results across processes: a cache key digests everything the result
     depends on — the lowered program ({!Lower.digest}), the workload
     instance, the architecture, the configuration ({!Config.key}) and the
@@ -16,8 +16,8 @@
     digest before trusting a byte, deletes anything that fails, and
     reports it as corrupt — a damaged cache degrades to recomputation,
     never to wrong answers. The [kind] token classifies the entry for
-    [daec cache stats] ({!disk_stats.by_kind}: re-timed hierarchy points,
-    sweep points, prepared-plan stamps, …); headers written before kinds
+    [daec cache stats] ({!disk_stats.by_kind}: re-timed sweep and bench
+    points, [size --validate] probes, …); headers written before kinds
     existed have three tokens and read back as {!default_kind}.
 
     Writes go to a temp file in the same directory and are published with
@@ -93,7 +93,7 @@ type disk_stats = {
   bytes : int;
   by_kind : (string * (int * int)) list;
       (** kind -> (entries, bytes), sorted by kind — separates re-timed
-          hierarchy points and prepared-plan stamps from sweep points *)
+          points from [size --validate] probes *)
 }
 
 val disk_stats : t -> disk_stats

@@ -211,7 +211,15 @@ let trace_digest (pr : prepared) =
                       (Array.to_list (Array.map Trace.digest trs)))
                   pr.pr_traces))))
 
-let simulate ?(validate = true) ?(w = Area.default_weights)
+let area ?(w = Area.default_weights) (plan : plan) ~(cfg : Config.t) =
+  match plan.pl_dec with
+  | None -> Area.sta ~w plan.pl_func
+  | Some dec ->
+    (* ORACLE's filtered traces need no poison logic *)
+    Area.decoupled ~w ~cfg ~ignore_poison:(plan.pl_arch = Oracle)
+      dec.p_pipeline
+
+let simulate ?(validate = true) ?w
     ?(collect = false) ?(record_mem = false) ?max_cycles ?scheduler
     ~(cfg : Config.t) (pr : prepared) : result =
   if validate then Config.validate cfg;
@@ -231,7 +239,7 @@ let simulate ?(validate = true) ?(w = Area.default_weights)
       killed_stores = 0;
       committed_stores = 0;
       misspec_rate = 0.0;
-      area = Area.sta ~w plan.pl_func;
+      area = area ?w plan ~cfg;
       memory = pr.pr_memory;
       pipeline = None;
       (* the single statically-scheduled unit is never idle: modulo
@@ -277,11 +285,7 @@ let simulate ?(validate = true) ?(w = Area.default_weights)
       misspec_rate =
         (if total = 0 then 0.0
          else float_of_int pr.pr_killed /. float_of_int total);
-      area =
-        (match plan.pl_arch with
-        | Oracle ->
-          Area.decoupled ~w ~cfg ~ignore_poison:true dec.p_pipeline
-        | _ -> Area.decoupled ~w ~cfg dec.p_pipeline);
+      area = area ?w plan ~cfg;
       memory = pr.pr_memory;
       pipeline = Some dec.p_pipeline;
       stats = !stats;

@@ -107,6 +107,12 @@ val pipeline : plan -> Dae_core.Pipeline.t option
 (** The compiled pipeline ([None] for STA) — the sweep engine feeds it to
     the static sizing analyzer without recompiling. *)
 
+val area : ?w:Area.weights -> plan -> cfg:Config.t -> Area.breakdown
+(** The area model for [plan] under [cfg] — the [area] field {!simulate}
+    returns: {!Area.sta} for STA, {!Area.decoupled} otherwise, with
+    ORACLE's poison logic ignored. Needs no execution, so a cached result
+    can be completed without a prepare. *)
+
 type prepared
 (** Executed traces plus everything {!simulate} needs: per-invocation
     trace pairs (post oracle-filter), golden runs (STA), kill/commit

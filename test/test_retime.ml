@@ -298,6 +298,127 @@ let cache_concurrent_writers () =
           check Alcotest.int "no torn entries observed" 0 corrupt)
         results)
 
+(* --- the evaluator: Sweep.job / eval / validate_sizing ---------------------- *)
+
+let quick_hist () =
+  match Kernels.by_name (Kernels.test_suite ()) "hist" with
+  | Some k -> k
+  | None -> Alcotest.fail "hist not in test suite"
+
+let hist_workload () = Sweep.workload_of_kernel ~suite:"quick" (quick_hist ())
+
+(* STA, DAE, SPEC, ORACLE and DAE over hist's natural N-way partition *)
+let eval_plans () =
+  let partition =
+    (Dae_analysis.Partition.analyze ((quick_hist ()).Kernels.build ()))
+      .Dae_analysis.Partition.assignment
+  in
+  check Alcotest.bool "hist partitions into more than one access unit" true
+    (partition.Dae_core.Decouple.n_access > 1);
+  List.map (fun arch -> (M.arch_name arch, arch, None)) archs
+  @ [ ("DAE#partitioned", M.Dae, Some partition) ]
+
+let point_fields (p : Sweep.point) =
+  ( (match p.Sweep.pt_status with Sweep.Cycles c -> c | Sweep.Deadlock -> -1),
+    p.Sweep.pt_killed,
+    p.Sweep.pt_committed,
+    p.Sweep.pt_stats )
+
+let fields =
+  Alcotest.(
+    testable
+      (fun ppf (c, k, m, _) -> Fmt.pf ppf "cycles %d killed %d committed %d" c k m)
+      ( = ))
+
+(* cold eval, warm eval on a fresh job (no prepare) and a fresh
+   Machine.simulate agree on everything *)
+let eval_cold_warm_fresh () =
+  with_cache_dir (fun dir ->
+      let w = hist_workload () in
+      List.iter
+        (fun (label, arch, partition) ->
+          let plan = R.plan ?partition arch w.Sweep.w_func in
+          let cold_job = Sweep.job ~cache:(C.create ~dir ()) w plan in
+          let cold = Sweep.eval cold_job Cfg.default in
+          check Alcotest.bool (label ^ ": cold point computed") false
+            cold.Sweep.pt_cached;
+          check Alcotest.int (label ^ ": cold job prepared once") 1
+            (Sweep.job_prepares cold_job);
+          let warm_job = Sweep.job ~cache:(C.create ~dir ()) w plan in
+          let warm = Sweep.eval warm_job Cfg.default in
+          check Alcotest.bool (label ^ ": warm point cached") true
+            warm.Sweep.pt_cached;
+          check Alcotest.int (label ^ ": warm job never prepares") 0
+            (Sweep.job_prepares warm_job);
+          let k = quick_hist () in
+          let r =
+            M.simulate ~cfg:Cfg.default ?partition arch (k.Kernels.build ())
+              ~invocations:(k.Kernels.invocations ())
+              ~mem:(k.Kernels.init_mem ())
+          in
+          let fresh =
+            ( r.M.cycles,
+              r.M.killed_stores,
+              r.M.committed_stores,
+              List.map
+                (fun (u, t) ->
+                  ( u,
+                    List.map
+                      (fun c -> (Stats.cause_name c, Stats.get t c))
+                      Stats.all_causes ))
+                r.M.stats )
+          in
+          check fields (label ^ ": cold == fresh") fresh (point_fields cold);
+          check fields (label ^ ": warm == fresh") fresh (point_fields warm))
+        (eval_plans ()))
+
+let eval_deadlock () =
+  with_cache_dir (fun dir ->
+      let w = hist_workload () in
+      let plan = R.plan M.Dae w.Sweep.w_func in
+      let cfg = { Cfg.default with Cfg.request_fifo_capacity = 0 } in
+      let status job = (Sweep.eval job cfg).Sweep.pt_status in
+      check Alcotest.bool "capacity 0 deadlocks cold" true
+        (status (Sweep.job ~cache:(C.create ~dir ()) w plan) = Sweep.Deadlock);
+      let warm = Sweep.job ~cache:(C.create ~dir ()) w plan in
+      check Alcotest.bool "and warm, from the cache" true
+        (status warm = Sweep.Deadlock && Sweep.job_prepares warm = 0))
+
+let eval_reference_check () =
+  with_cache_dir (fun dir ->
+      let w =
+        { (hist_workload ()) with Sweep.w_check = (fun _ -> Error "wrong") }
+      in
+      let cache = C.create ~dir () in
+      let job = Sweep.job ~cache w (R.plan M.Spec w.Sweep.w_func) in
+      (match Sweep.eval job Cfg.default with
+      | _ -> Alcotest.fail "a rejected functional run produced a point"
+      | exception R.Check_failed msg ->
+        check Alcotest.bool "message names kernel and arch" true
+          (String.starts_with ~prefix:"hist/SPEC" msg));
+      check Alcotest.int "nothing stored" 0 (C.disk_stats cache).C.entries)
+
+(* Same IR, hence the same plan digest, over two memory images: the
+   instance id keeps their points apart. *)
+let eval_instances_distinct () =
+  with_cache_dir (fun dir ->
+      let mk suite k = Sweep.workload_of_kernel ~suite k in
+      let a = mk "a" (Kernels.hist ~n:60 ~buckets:8 ~cap:12 ~seed:1 ())
+      and b = mk "b" (Kernels.hist ~n:60 ~buckets:8 ~cap:12 ~seed:2 ()) in
+      let plan w = R.plan M.Spec w.Sweep.w_func in
+      check Alcotest.string "same plan digest"
+        (R.plan_digest (plan a)) (R.plan_digest (plan b));
+      let eval w =
+        Sweep.eval (Sweep.job ~cache:(C.create ~dir ()) w (plan w)) Cfg.default
+      in
+      let pa = eval a and pb = eval b in
+      check Alcotest.bool "second instance is not served the first's point"
+        false pb.Sweep.pt_cached;
+      check Alcotest.bool "the two instances' points differ" true
+        (point_fields pa <> point_fields pb);
+      check fields "each instance's warm point is its own" (point_fields pb)
+        (point_fields (eval b)))
+
 let () =
   let kernel_cases =
     List.map
@@ -317,5 +438,14 @@ let () =
           tc "corrupted entries recomputed" `Quick cache_corruption;
           tc "zero-length and truncated entries" `Quick cache_damaged_entries;
           tc "concurrent writers, one key" `Quick cache_concurrent_writers;
+        ] );
+      ( "evaluator",
+        [
+          tc "cold, warm and fresh agree" `Quick eval_cold_warm_fresh;
+          tc "capacity 0 deadlocks cold and warm" `Quick eval_deadlock;
+          tc "reference check failure stores nothing" `Quick
+            eval_reference_check;
+          tc "instances sharing a plan digest stay apart" `Quick
+            eval_instances_distinct;
         ] );
     ]
