@@ -1,7 +1,7 @@
 (* Channel dependence graph extraction.
 
    The edge set comes straight from the compiled pipeline (channel uses +
-   load subscribers: exactly the FIFOs Timing.run_units instantiates). Rates
+   load subscribers: exactly the FIFOs Timing.run instantiates). Rates
    come from the checker's segment universe: every dynamic trace is a
    concatenation of segments, so per-edge token counts over the
    scope-owned events of each segment give sound per-iteration rate

@@ -167,10 +167,10 @@ let store ?(kind = default_kind) t k v =
           (Digest.to_hex (Digest.string body))
           (String.length body) kind
       in
-      let tmp =
-        Filename.temp_file ~temp_dir:(Filename.dirname path) "daec" ".tmp"
+      let tmp, oc =
+        Filename.open_temp_file ~mode:[ Open_binary ]
+          ~temp_dir:(Filename.dirname path) "daec" ".tmp"
       in
-      let oc = open_out_bin tmp in
       output_string oc header;
       output_string oc body;
       close_out oc;

@@ -14,7 +14,6 @@
 type mshr = {
   mutable m_line : int; (* line in flight; -1 = never used *)
   mutable m_fill_at : int; (* cycle the fill completes; free iff <= now *)
-  mutable m_delayed : bool; (* DRAM start was pushed past allocation time *)
 }
 
 type t = {
@@ -40,6 +39,8 @@ type t = {
   open_row : int array;
   bank_free_at : int array;
   mutable bus_free_at : int;
+  (* whether the most recent accepted load's DRAM access started late *)
+  mutable delayed : bool;
 }
 
 let create (geom : Config.cache_geom) =
@@ -52,13 +53,14 @@ let create (geom : Config.cache_geom) =
     stamp = 0;
     mshrs =
       Array.init geom.mshrs (fun _ ->
-          { m_line = -1; m_fill_at = min_int; m_delayed = false });
+          { m_line = -1; m_fill_at = min_int });
     fill_min = max_int;
     free_stack = Array.init geom.mshrs (fun i -> geom.mshrs - 1 - i);
     free_top = geom.mshrs;
     open_row = Array.make geom.dram.dram_banks (-1);
     bank_free_at = Array.make geom.dram.dram_banks 0;
     bus_free_at = 0;
+    delayed = false;
   }
 
 (* Lazy batched retirement: fills only leave flight as time advances, so
@@ -82,9 +84,10 @@ let refresh t ~now =
     t.fill_min <- !best
   end
 
-type load_outcome =
-  | Load_done of { complete_at : int; delayed : bool }
-  | Load_mshr_full
+(* [load]'s answer when every MSHR is busy; completion times are > 0. *)
+let mshr_full = -1
+
+let last_delayed t = t.delayed
 
 let line_of t ~arr ~addr = (arr lsl 24) lor (addr / t.geom.line_words)
 let cache_bank t line = line mod t.geom.banks
@@ -121,7 +124,8 @@ let install t line =
 
 (* One DRAM transaction for [line] starting no earlier than [now]:
    open-row hit or row switch on the line's bank, then [t_bus] cycles on
-   the shared data bus. Returns (finish time, delayed-start flag). *)
+   the shared data bus. Returns the finish time; [t.delayed] records
+   whether the start was pushed past [now]. *)
 let dram_access t ~now line =
   let d = t.geom.dram in
   let b = line mod d.dram_banks in
@@ -132,50 +136,49 @@ let dram_access t ~now line =
   let finish = start + lat + d.t_bus in
   t.bank_free_at.(b) <- finish;
   t.bus_free_at <- finish;
-  (finish, start > now)
+  t.delayed <- start > now;
+  finish
+
+(* Fresh miss: pop the free stack — the lowest free index, the same MSHR
+   the seed's first-free scan would have picked. *)
+let alloc_miss t ~now line =
+  if t.free_top = 0 then mshr_full
+  else begin
+    t.free_top <- t.free_top - 1;
+    let m = t.mshrs.(t.free_stack.(t.free_top)) in
+    let complete_at = dram_access t ~now line + t.geom.hit_latency in
+    m.m_line <- line;
+    m.m_fill_at <- complete_at;
+    if complete_at < t.fill_min then t.fill_min <- complete_at;
+    install t line;
+    complete_at
+  end
+
+(* The in-flight MSHR filling [line], lowest index first; -1 when none. *)
+let inflight t ~now line =
+  let found = ref (-1) in
+  for i = Array.length t.mshrs - 1 downto 0 do
+    let m = t.mshrs.(i) in
+    if m.m_line = line && m.m_fill_at > now then found := i
+  done;
+  !found
 
 let load t ~now ~arr ~addr =
   let line = line_of t ~arr ~addr in
   refresh t ~now;
-  (* Fresh miss: pop the free stack — the lowest free index, the same
-     MSHR the seed's first-free scan would have picked. *)
-  let alloc_miss () =
-    if t.free_top = 0 then Load_mshr_full
-    else begin
-      t.free_top <- t.free_top - 1;
-      let m = t.mshrs.(t.free_stack.(t.free_top)) in
-      let finish, delayed = dram_access t ~now line in
-      let complete_at = finish + t.geom.hit_latency in
-      m.m_line <- line;
-      m.m_fill_at <- complete_at;
-      m.m_delayed <- delayed;
-      if complete_at < t.fill_min then t.fill_min <- complete_at;
-      install t line;
-      Load_done { complete_at; delayed }
-    end
-  in
+  t.delayed <- false;
   if t.fill_min = max_int then
     (* Fast path: nothing in flight — no merge can hit and the whole
        pool is free, so a cache hit completes in two array reads and a
        miss allocates without scanning the MSHRs. *)
-    if probe t line then
-      Load_done { complete_at = now + t.geom.hit_latency; delayed = false }
-    else alloc_miss ()
+    if probe t line then now + t.geom.hit_latency else alloc_miss t ~now line
   else begin
     (* A fill in flight takes precedence over the tag array: the tag is
        installed at allocation, but its data only arrives at m_fill_at. *)
-    let merged = ref None in
-    Array.iter
-      (fun m ->
-        if m.m_line = line && m.m_fill_at > now && !merged = None then
-          merged := Some m)
-      t.mshrs;
-    match !merged with
-    | Some m -> Load_done { complete_at = m.m_fill_at; delayed = false }
-    | None ->
-        if probe t line then
-          Load_done { complete_at = now + t.geom.hit_latency; delayed = false }
-        else alloc_miss ()
+    let m = inflight t ~now line in
+    if m >= 0 then t.mshrs.(m).m_fill_at
+    else if probe t line then now + t.geom.hit_latency
+    else alloc_miss t ~now line
   end
 
 let store t ~now ~arr ~addr =
@@ -185,8 +188,8 @@ let store t ~now ~arr ~addr =
      commit port does not wait for it — but it occupies the bank and
      bus, which is how store traffic delays load misses. *)
   ignore (probe t line : bool);
-  ignore (dram_access t ~now line : int * bool)
+  ignore (dram_access t ~now line : int)
 
 let next_wake t ~now =
   refresh t ~now;
-  if t.fill_min = max_int then None else Some t.fill_min
+  t.fill_min

@@ -19,21 +19,22 @@ type t
 val create : Config.cache_geom -> t
 (** A cold cache (all ways invalid, all rows closed, all MSHRs free). *)
 
-type load_outcome =
-  | Load_done of { complete_at : int; delayed : bool }
-      (** The access was accepted. [complete_at > now] is when the value
-          arrives at the LSQ. [delayed] marks a miss whose DRAM access
-          could not start at allocation time (bank or bus busy) — the
-          signal behind the [Stats.Dram_bank] attribution. *)
-  | Load_mshr_full
-      (** The access missed but every MSHR is occupied; the load port
-          must retry later ([Stats.Mshr_full]). *)
+val mshr_full : int
+(** {!load}'s answer when the access missed but every MSHR is occupied;
+    the load port must retry later ([Stats.Mshr_full]). Negative, so it
+    never equals a completion time. *)
 
-val load : t -> now:int -> arr:int -> addr:int -> load_outcome
-(** Issue a load for word [addr] of dense array [arr]. Hits complete at
-    [now + hit_latency]; misses to an in-flight line merge into its MSHR;
-    fresh misses allocate an MSHR and a DRAM access, or report
-    {!Load_mshr_full}. *)
+val load : t -> now:int -> arr:int -> addr:int -> int
+(** Issue a load for word [addr] of dense array [arr]; returns the cycle
+    ([> now]) at which the value arrives at the LSQ, or {!mshr_full}.
+    Hits complete at [now + hit_latency]; misses to an in-flight line
+    merge into its MSHR; fresh misses allocate an MSHR and a DRAM access.
+    Allocates nothing. *)
+
+val last_delayed : t -> bool
+(** Whether the most recent accepted {!load} was a miss whose DRAM access
+    could not start at allocation time (bank or bus busy) — the signal
+    behind the [Stats.Dram_bank] attribution. *)
 
 val store : t -> now:int -> arr:int -> addr:int -> unit
 (** Commit a store: write-through, no-allocate, posted. The commit port
@@ -41,9 +42,9 @@ val store : t -> now:int -> arr:int -> addr:int -> unit
     store's DRAM transaction occupies its bank and the shared bus, so
     store traffic delays subsequent load misses. *)
 
-val next_wake : t -> now:int -> int option
-(** Earliest in-flight MSHR fill strictly after [now], if any — the
-    hierarchy's contribution to a stalled unit's wake candidates. A
-    cached running minimum maintained by batched MSHR reclaim, so the
-    stall path reads it in O(1) amortized instead of scanning the
-    pool. *)
+val next_wake : t -> now:int -> int
+(** Earliest in-flight MSHR fill strictly after [now], [max_int] when
+    none is in flight — the hierarchy's contribution to a stalled unit's
+    wake candidates. A cached running minimum maintained by batched MSHR
+    reclaim, so the stall path reads it in O(1) amortized instead of
+    scanning the pool. *)

@@ -3,9 +3,11 @@
    The seam this module exploits is structural: Exec.run_lowered takes no
    Config.t, and Timing.oracle_filter is likewise config-independent, so
    everything up to and including the recorded traces is identical across
-   every point of a configuration sweep. [prepare] does that half once;
-   [simulate] is then Timing.run_units per stored invocation plus the
-   (cheap, config-dependent) area model. Machine.simulate is
+   every point of a configuration sweep. [prepare] does that half once
+   and compiles each invocation's traces into a Timing.replay (channel
+   links, send tags, DU interning — all config-independent); [simulate]
+   is then Timing.run per stored replay plus the (cheap,
+   config-dependent) area model. Machine.simulate is
    plan |> prepare |> simulate, so a single-configuration run and a sweep
    point share every line of functional and timing code. *)
 
@@ -115,9 +117,9 @@ let pipeline p =
 type prepared = {
   pr_plan : plan;
   pr_invocations : int;
-  pr_traces : Trace.unit_trace array array;
-      (* per invocation, dense unit order [agu; cu; au1; ...], post
-         oracle-filter; [||] for STA *)
+  pr_replays : Timing.replay array;
+      (* per invocation: the traces in dense unit order [agu; cu; au1;
+         ...], post oracle-filter, compiled once; [||] for STA *)
   pr_golden_runs : Interp.result array;
       (* STA only: cycles are cfg-dependent (port pressure bounds the II),
          so the golden runs are stored and re-derived per configuration *)
@@ -140,7 +142,7 @@ let prepare (plan : plan) ~(invocations : invocation list)
     {
       pr_plan = plan;
       pr_invocations = List.length invocations;
-      pr_traces = [||];
+      pr_replays = [||];
       pr_golden_runs = goldens;
       pr_killed = 0;
       pr_committed = 0;
@@ -151,7 +153,7 @@ let prepare (plan : plan) ~(invocations : invocation list)
     let sim_mem = Interp.Memory.copy mem in
     let golden_mem = Interp.Memory.copy mem in
     let killed = ref 0 and committed = ref 0 in
-    let traces =
+    let replays =
       Array.of_list
         (List.map
            (fun args ->
@@ -169,19 +171,22 @@ let prepare (plan : plan) ~(invocations : invocation list)
                        msg)));
              killed := !killed + r.Exec.killed_stores;
              committed := !committed + r.Exec.committed_stores;
-             match plan.pl_arch with
-             | Oracle ->
-               let agu_tr, cu_tr =
-                 Timing.oracle_filter r.Exec.agu_trace r.Exec.cu_trace
-               in
-               [| agu_tr; cu_tr |]
-             | _ -> Exec.traces r)
+             let trs =
+               match plan.pl_arch with
+               | Oracle ->
+                 let agu_tr, cu_tr =
+                   Timing.oracle_filter r.Exec.agu_trace r.Exec.cu_trace
+                 in
+                 [| agu_tr; cu_tr |]
+               | _ -> Exec.traces r
+             in
+             Timing.compile ~subscribers:dec.p_subscribers trs)
            invocations)
     in
     {
       pr_plan = plan;
-      pr_invocations = Array.length traces;
-      pr_traces = traces;
+      pr_invocations = Array.length replays;
+      pr_replays = replays;
       pr_golden_runs = [||];
       pr_killed = !killed;
       pr_committed = !committed;
@@ -206,10 +211,11 @@ let trace_digest (pr : prepared) =
          (String.concat ""
             (Array.to_list
                (Array.map
-                  (fun trs ->
+                  (fun rp ->
                     String.concat ""
-                      (Array.to_list (Array.map Trace.digest trs)))
-                  pr.pr_traces))))
+                      (Array.to_list
+                         (Array.map Trace.digest (Timing.traces rp))))
+                  pr.pr_replays))))
 
 let area ?(w = Area.default_weights) (plan : plan) ~(cfg : Config.t) =
   match plan.pl_dec with
@@ -254,17 +260,17 @@ let simulate ?(validate = true) ?w
     let timelines = ref [] in
     let mem_events = ref [] in
     Array.iteri
-      (fun i trs ->
+      (fun i rp ->
         let timed =
-          Timing.run_units ~cfg ~validate:false ?max_cycles
-            ~record_depths:collect ~record_mem ?scheduler
-            ~subscribers:dec.p_subscribers trs
+          Timing.run ~cfg ~validate:false ?max_cycles ~record_depths:collect
+            ~record_mem ?scheduler rp
         in
         cycles := !cycles + timed.Timing.cycles;
         stats := Stats.merge_keyed !stats timed.Timing.stats;
         if record_mem then
           mem_events := timed.Timing.mem_events :: !mem_events;
         if collect then
+          let trs = Timing.traces rp in
           timelines :=
             {
               t_invocation = i;
@@ -274,7 +280,7 @@ let simulate ?(validate = true) ?w
               t_timing = timed;
             }
             :: !timelines)
-      pr.pr_traces;
+      pr.pr_replays;
     let total = pr.pr_killed + pr.pr_committed in
     {
       arch = plan.pl_arch;

@@ -14,9 +14,11 @@
       without executing anything — enough to form a cache key;
     + {!prepare} runs the functional execution once over the invocation
       sequence, golden-checks every invocation, oracle-filters when the
-      plan is for {!Oracle}, and persists the compact traces;
-    + {!simulate} replays the stored traces under an arbitrary
-      configuration.
+      plan is for {!Oracle}, and compiles each invocation's traces once
+      into a {!Timing.replay} (channel links, send tags, DU interning —
+      nothing a configuration can change);
+    + {!simulate} re-times the compiled replays under an arbitrary
+      configuration with {!Timing.run}.
 
     {!Machine.simulate} is exactly [plan |> prepare |> simulate]. Every
     prepared run is checked against the sequential golden model (final
@@ -115,12 +117,14 @@ val area : ?w:Area.weights -> plan -> cfg:Config.t -> Area.breakdown
 
 type prepared
 (** Executed traces plus everything {!simulate} needs: per-invocation
-    trace pairs (post oracle-filter), golden runs (STA), kill/commit
-    counts, final memory, load subscribers. *)
+    compiled replays of the unit traces (post oracle-filter, load
+    subscribers bound), golden runs (STA), kill/commit counts, final
+    memory. *)
 
 val prepare :
   plan -> invocations:invocation list -> mem:Interp.Memory.t -> prepared
-(** Run the functional half once. [mem] is copied, never mutated.
+(** Run the functional half once and compile every invocation's replay.
+    [mem] is copied, never mutated.
     @raise Check_failed on golden disagreement. *)
 
 val final_memory : prepared -> Interp.Memory.t
@@ -144,7 +148,7 @@ val simulate :
   cfg:Config.t ->
   prepared ->
   result
-(** Re-time the stored traces under [cfg]. The returned [memory] field is
+(** Re-time the compiled replays under [cfg]. The returned [memory] field is
     shared between calls on one [prepared] (timing cannot change it);
     treat it as read-only. [validate] (default true) runs
     {!Config.validate} first; deadlock-boundary probes pass
@@ -154,7 +158,7 @@ val simulate :
     exporter; [record_mem] (default false) keeps each invocation's memory
     event log; neither ever changes cycles or stats. [max_cycles] caps
     each invocation's replay (overruns raise {!Timing.Timing_error}).
-    [scheduler] is a test hook, forwarded to {!Timing.run_units}: the
+    [scheduler] is a test hook, forwarded to {!Timing.run}: the
     default event wheel is the production path, and the seed calendar is
     the bit-identical reference the scheduler-equivalence suite replays.
     @raise Invalid_argument on an invalid configuration (when [validate]).

@@ -9,7 +9,11 @@
     [iteration × unit_ii + depth], and never past an unresolved {!Trace.ev}
     [Gate] — which is what serializes the non-speculative DAE AGU. A
     mis-speculated store occupies its store-queue slot from allocation to
-    kill: the paper's §8.2.1 cost mechanism. *)
+    kill: the paper's §8.2.1 cost mechanism.
+
+    Compile once, time many: {!compile} does everything about a replay
+    that no configuration can change, once per recorded execution;
+    {!run} re-times that {!replay} under any configuration. *)
 
 type lsq_stats = {
   mutable alloc_stall_cycles : int;
@@ -21,7 +25,7 @@ type lsq_stats = {
 }
 
 (** Committed-order LSQ/memory events, recorded under
-    [run_units ~record_mem] in execution order — the trace the
+    [run ~record_mem] in execution order — the trace the
     {!Mem_model} SC/ordering oracle replays. [seq] is the per-array
     program-order tag the AGU assigned; [older_sts] on a load is the
     number of same-array stores preceding it in program order. *)
@@ -50,7 +54,9 @@ type result = {
   lsq : (string * lsq_stats) list;
   agu_retire : int array;
       (** per-event retire cycles, index-aligned with the trace entries —
-          for pipeline timeline views (the paper's Figure 2) *)
+          for pipeline timeline views (the paper's Figure 2); empty
+          unless [run ~record_depths:true] (otherwise the run hands its
+          retire arrays back to the replay for the next run) *)
   cu_retire : int array;
   au_retire : int array array;  (** extra access units, trace order *)
   stats : Stats.keyed;
@@ -62,12 +68,12 @@ type result = {
           invariant that makes the calendar jump sound) *)
   depth_samples : (int * string * int) array;
       (** [(cycle, channel, depth)] occupancy samples, emitted on change
-          in cycle order; empty unless [run_units ~record_depths:true].
+          in cycle order; empty unless [run ~record_depths:true].
           Channels are ["<arr>.req_ld"], ["<arr>.req_st"], ["<arr>.stv"],
           ["<arr>.sq"], ["<arr>.lq"] and ["ldv<mem>.<unit>"]. *)
   mem_events : mem_event array;
       (** execution-order memory event log; empty unless
-          [run_units ~record_mem:true] *)
+          [run ~record_mem:true] *)
 }
 
 exception Timing_error of string
@@ -90,47 +96,70 @@ val scan_window : int
 (** Per-unit out-of-order retirement scan depth; the static sizing
     analyzer's abstract causality replay mirrors it. *)
 
-(** Bounded FIFO whose entries become visible [latency] cycles after the
-    push. *)
+(** Bounded FIFO of int payloads whose entries become visible [latency]
+    cycles after the push. *)
 module Fifo : sig
-  type 'a t
+  type t
 
-  val create : capacity:int -> latency:int -> 'a t
-  val has_space : 'a t -> bool
+  val create : capacity:int -> latency:int -> t
+  val has_space : t -> bool
 
   (** @raise Timing_error when full. *)
-  val push : 'a t -> now:int -> 'a -> unit
+  val push : t -> now:int -> int -> unit
 
-  (** The head, if it has arrived by [now]. *)
-  val peek : 'a t -> now:int -> 'a option
+  (** The head has arrived by [now]. *)
+  val ready : t -> now:int -> bool
 
-  val pop : 'a t -> 'a
-  val is_empty : 'a t -> bool
+  (** @raise Timing_error when empty. *)
+  val pop : t -> int
+
+  val is_empty : t -> bool
 end
 
-(** Replay any number of unit traces (dense {!Trace.unit_index} order
-    \[agu; cu; au1; ...\]) to completion; needs at least two traces.
-    [record_depths] (default false) additionally records
+type replay
+(** A compiled replay: unit traces plus everything about their replay
+    that no configuration can change — per-event channel predecessors and
+    program-order send tags (two words per event), and the interning of
+    DU arrays and load-value FIFOs (subscriber FIFOs first, then first
+    appearance in \[agu; cu; au1; ...\] trace order). The DU order is
+    observable: it is the array id of the hierarchy's line ids and orders
+    stats and depth samples. Immutable; one replay serves any number of
+    {!run}s. *)
+
+val compile :
+  subscribers:(int * Trace.unit_id list) list ->
+  Trace.unit_trace array ->
+  replay
+(** Compile unit traces in dense {!Trace.unit_index} order
+    \[agu; cu; au1; ...\]; needs at least two. [subscribers] maps a mem
+    id to the units its loaded values are delivered to.
+    @raise Timing_error on fewer than two traces. *)
+
+val traces : replay -> Trace.unit_trace array
+(** The compiled traces, in unit order. *)
+
+(** Replay a compiled replay to completion under [cfg]: instantiates the
+    FIFOs, LSQ rings and (in [Config.Hierarchy] mode) a fresh, cold
+    {!Mem}, then times every event; the steady-state loop allocates
+    nothing. [record_depths] (default false) additionally records
     channel-occupancy samples for the timeline exporter; [record_mem]
     (default false) records the committed-order memory event log;
     neither ever affects scheduling or cycle counts. [validate] (default
     true) runs {!Config.validate} first; deadlock-boundary probes pass
     [~validate:false] to simulate a rejected configuration. In
-    [Config.Hierarchy] mode loads consult a fresh {!Mem} instance (cold
-    caches per run); in [Scratchpad] mode the pre-hierarchy fixed-latency
-    path runs unchanged. [scheduler] defaults to {!Event_wheel}.
+    [Scratchpad] mode the pre-hierarchy fixed-latency load path runs
+    unchanged. [scheduler] defaults to {!Event_wheel}.
     @raise Invalid_argument on an invalid configuration.
     @raise Deadlock on a modelled deadlock.
     @raise Timing_error on a cycle overrun. *)
-val run_units :
+val run :
   ?cfg:Config.t ->
   ?validate:bool ->
   ?max_cycles:int ->
   ?record_depths:bool ->
   ?record_mem:bool ->
   ?scheduler:scheduler ->
-  subscribers:(int * Trace.unit_id list) list ->
-  Trace.unit_trace array ->
+  replay ->
   result
 
 (** The ORACLE bound (paper §8.1.1): drop mis-speculated store requests

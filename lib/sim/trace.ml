@@ -39,6 +39,7 @@ let t_gate = 5
    -1) for gates. *)
 let stride = 4
 
+let tag_mask = 7
 let ctrl_bit = 8
 let arr_shift = 4
 let mem_shift = 24
@@ -63,7 +64,7 @@ type unit_trace = {
 }
 
 let length tr = tr.n
-let[@inline] tag tr k = tr.data.(k * stride) land 7
+let[@inline] tag tr k = tr.data.(k * stride) land tag_mask
 let[@inline] feeds_control tr k = tr.data.(k * stride) land ctrl_bit <> 0
 
 let[@inline] arr_id tr k =

@@ -36,7 +36,17 @@ val t_gate : int
 (** Event tags, [0..5]; the result of {!tag}. *)
 
 val stride : int
-(** Words per event in {!unit_trace.data}. *)
+(** Words per event in {!unit_trace.data}: word 0 packs the event's meta
+    (tag, feeds-control bit, array id, mem id), words 1, 2 and 3 hold
+    {!iter}, {!depth} and {!payload}. *)
+
+val tag_mask : int
+val arr_shift : int
+
+val mem_shift : int
+(** Word-0 layout, for readers that decode events in place: the tag is
+    [w land tag_mask], the array id [(w lsr arr_shift) land max_arr], the
+    mem id [w lsr mem_shift]. *)
 
 val max_arr : int
 

@@ -70,7 +70,7 @@ let partitions_sum = function
 (* Replay [prepared] under [cfgs] forward, then in reverse; [None] when
    every pair agrees and every completed partition sums, otherwise the
    offending configuration key. *)
-let replay_defect prepared =
+let replay_defect ?(cfgs = cfgs) prepared =
   let replay order = List.map (verdict prepared) order in
   let forward = replay cfgs in
   let backward = List.rev (replay (List.rev cfgs)) in
@@ -82,14 +82,15 @@ let replay_defect prepared =
       else None)
     (List.combine cfgs (List.combine forward backward))
 
+let quick_kernel name =
+  match Kernels.by_name (Kernels.test_suite ()) name with
+  | Some k -> k
+  | None -> Alcotest.failf "kernel %s not in test suite" name
+
 (* --- test-suite kernels: every arch, one prepare, every config twice ------ *)
 
 let test_kernel name () =
-  let k =
-    match Kernels.by_name (Kernels.test_suite ()) name with
-    | Some k -> k
-    | None -> Alcotest.failf "kernel %s not in test suite" name
-  in
+  let k = quick_kernel name in
   List.iter
     (fun arch ->
       let plan = R.plan arch (k.Kernels.build ()) in
@@ -129,6 +130,108 @@ let qcheck_props =
       small_nat (fun seed ->
         gen_replay_independent (Fixtures.gen_cfg_multi ~seed ()));
   ]
+
+(* --- compiled replays: wide channels, N-way units, optional logs ---------- *)
+
+(* vector widths above 1 (several ops per channel per cycle) and the
+   cache hierarchy (DU creation order is the array id of its line ids) *)
+let wide_cfgs =
+  let hier =
+    { Cfg.default with Cfg.hierarchy = Cfg.Hierarchy Cfg.default_geom }
+  in
+  [
+    { Cfg.default with Cfg.vector_width = 2 };
+    { Cfg.default with Cfg.vector_width = 4 };
+    hier;
+    { hier with Cfg.vector_width = 2 };
+  ]
+
+(* every arch, plus DAE over the kernel's natural N-way partition *)
+let plans (k : Kernels.t) =
+  let partition =
+    (Dae_analysis.Partition.analyze (k.Kernels.build ()))
+      .Dae_analysis.Partition.assignment
+  in
+  List.map
+    (fun arch -> (M.arch_name arch, R.plan arch (k.Kernels.build ())))
+    archs
+  @ [ ("DAE#nway", R.plan ~partition M.Dae (k.Kernels.build ())) ]
+
+let prepare_plan (k : Kernels.t) plan =
+  R.prepare plan ~invocations:(k.Kernels.invocations ())
+    ~mem:(k.Kernels.init_mem ())
+
+let test_wide_nway () =
+  List.iter
+    (fun (k : Kernels.t) ->
+      List.iter
+        (fun (label, plan) ->
+          check
+            Alcotest.(option string)
+            (Fmt.str "%s/%s" k.Kernels.name label)
+            None
+            (replay_defect ~cfgs:wide_cfgs (prepare_plan k plan)))
+        (plans k))
+    (Kernels.test_suite ())
+
+(* Timelines and memory event logs are observers: switching them on or
+   off never moves a cycle or a stall, every unit's partition sums to
+   the cycles, and a timeline handed out by one replay is not disturbed
+   by later replays of the same prepare. *)
+let test_observers () =
+  let k = quick_kernel "hist" in
+  List.iter
+    (fun (label, plan) ->
+      let prepared = prepare_plan k plan in
+      List.iter
+        (fun cfg ->
+          let where = Fmt.str "%s@%s" label (Cfg.key cfg) in
+          let sim ~collect ~record_mem =
+            R.simulate ~collect ~record_mem ~cfg prepared
+          in
+          let base = sim ~collect:false ~record_mem:false in
+          let retire_of (r : M.result) =
+            List.map
+              (fun (tl : M.timeline) ->
+                let t = tl.M.t_timing in
+                Array.copy t.Timing.agu_retire
+                :: Array.copy t.Timing.cu_retire
+                :: Array.to_list (Array.map Array.copy t.Timing.au_retire))
+              r.M.timelines
+          in
+          let collected = sim ~collect:true ~record_mem:false in
+          let kept = retire_of collected in
+          List.iter
+            (fun (collect, record_mem) ->
+              let r = sim ~collect ~record_mem in
+              check Alcotest.int (where ^ " cycles") base.M.cycles r.M.cycles;
+              check Alcotest.bool (where ^ " stalls") true
+                (Stats.equal_keyed base.M.stats r.M.stats);
+              List.iter
+                (fun (u, t) ->
+                  check Alcotest.int (where ^ " " ^ u ^ " sums") r.M.cycles
+                    (Stats.total t))
+                r.M.stats;
+              (* STA has no LSQ, hence no memory log *)
+              check Alcotest.bool (where ^ " mem log iff asked")
+                (record_mem && R.pipeline plan <> None)
+                (r.M.mem_events <> []))
+            [ (false, false); (true, false); (false, true); (true, true) ];
+          List.iter
+            (fun (tl : M.timeline) ->
+              check Alcotest.int (where ^ " AGU timeline length")
+                (Dae_sim.Trace.length tl.M.t_agu)
+                (Array.length tl.M.t_timing.Timing.agu_retire))
+            collected.M.timelines;
+          (* a replay with other timing must not write into it either *)
+          ignore
+            (R.simulate
+               ~cfg:{ cfg with Cfg.fifo_latency = cfg.Cfg.fifo_latency + 3 }
+               prepared);
+          check Alcotest.bool (where ^ " handed-out timeline untouched") true
+            (kept = retire_of collected))
+        (List.hd cfgs :: wide_cfgs))
+    (plans k)
 
 (* --- cache round-trip ------------------------------------------------------ *)
 
@@ -431,6 +534,13 @@ let () =
       ("test-suite kernels", kernel_cases);
       ( "randomized CFGs",
         List.map QCheck_alcotest.to_alcotest qcheck_props );
+      ( "compiled replay",
+        [
+          tc "vector widths 2 and 4, hierarchy, N-way: order-independent"
+            `Quick test_wide_nway;
+          tc "timelines and memory logs never move cycles" `Quick
+            test_observers;
+        ] );
       ( "result cache",
         [
           tc "store/find round-trip" `Quick cache_roundtrip;

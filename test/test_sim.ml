@@ -16,18 +16,16 @@ let check = Alcotest.check
 let test_fifo_latency_and_capacity () =
   let f = Timing.Fifo.create ~capacity:2 ~latency:3 in
   check Alcotest.bool "space" true (Timing.Fifo.has_space f);
-  Timing.Fifo.push f ~now:0 'a';
-  Timing.Fifo.push f ~now:0 'b';
+  Timing.Fifo.push f ~now:0 7;
+  Timing.Fifo.push f ~now:0 8;
   check Alcotest.bool "full" false (Timing.Fifo.has_space f);
-  (match Timing.Fifo.push f ~now:1 'c' with
+  (match Timing.Fifo.push f ~now:1 9 with
   | exception Timing.Timing_error _ -> ()
   | () -> Alcotest.fail "push into full FIFO succeeded");
-  check (Alcotest.option Alcotest.char) "not arrived at t=2" None
-    (Timing.Fifo.peek f ~now:2);
-  check (Alcotest.option Alcotest.char) "arrived at t=3" (Some 'a')
-    (Timing.Fifo.peek f ~now:3);
-  check Alcotest.char "pop order" 'a' (Timing.Fifo.pop f);
-  check Alcotest.char "pop order 2" 'b' (Timing.Fifo.pop f);
+  check Alcotest.bool "not arrived at t=2" false (Timing.Fifo.ready f ~now:2);
+  check Alcotest.bool "arrived at t=3" true (Timing.Fifo.ready f ~now:3);
+  check Alcotest.int "pop order" 7 (Timing.Fifo.pop f);
+  check Alcotest.int "pop order 2" 8 (Timing.Fifo.pop f);
   check Alcotest.bool "empty" true (Timing.Fifo.is_empty f)
 
 (* --- functional co-simulation -------------------------------------------------- *)

@@ -163,11 +163,12 @@ let test_entry_points_validate () =
   | exception Invalid_argument _ -> ());
   let tr u = Dae_sim.Trace.empty u in
   match
-    Dae_sim.Timing.run_units ~cfg ~subscribers:[]
-      [| tr Dae_sim.Trace.Agu; tr Dae_sim.Trace.Cu |]
+    Dae_sim.Timing.run ~cfg
+      (Dae_sim.Timing.compile ~subscribers:[]
+         [| tr Dae_sim.Trace.Agu; tr Dae_sim.Trace.Cu |])
   with
   | (_ : Dae_sim.Timing.result) ->
-    Alcotest.fail "Timing.run_units accepted fifo_latency 0"
+    Alcotest.fail "Timing.run accepted fifo_latency 0"
   | exception Invalid_argument _ -> ()
 
 (* --- qcheck: the same soundness statement on randomized kernels --------------- *)

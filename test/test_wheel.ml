@@ -1,11 +1,12 @@
 (* The incremental event-wheel scheduler, held to bit-identical
    equivalence with the seed's rescan-everything calendar it replaced:
-   for every kernel of the test suite, the paper suite's hist kernel at
-   the default cache hierarchy, and randomized generator CFGs, across all
-   four architectures and a spread of configurations — scratchpad,
-   capacity floors, two memory-hierarchy points (the default cache and a
-   starved 1-bank/2-MSHR geometry over a slow DRAM) and invalid
-   capacity-0 boundary probes run with validation off — each
+   for every kernel of the test suite (also over its natural N-way
+   partition), the paper suite's hist kernel at the default cache
+   hierarchy, and randomized generator CFGs, across all four
+   architectures and a spread of configurations — scratchpad, capacity
+   floors, two memory-hierarchy points (the default cache and a starved
+   1-bank/2-MSHR geometry over a slow DRAM), vector widths 2 and 4, and
+   invalid capacity-0 boundary probes run with validation off — each
    (kernel, arch) is prepared once and that one prepare is replayed
    through [Retime.simulate ~scheduler:Event_wheel] and
    [~scheduler:Seed_calendar], which must agree on cycle counts, complete
@@ -41,9 +42,10 @@ let starved_geom =
       };
   }
 
-(* default; capacity floors; the two hierarchy points; two invalid
-   capacity-0 boundary probes (one of them under the cache hierarchy,
-   pushing the deadlock path through the wheel's bank/MSHR buckets) *)
+(* default; capacity floors; the two hierarchy points; vector widths 2
+   and 4 (the second under the hierarchy); two invalid capacity-0
+   boundary probes (one of them under the cache hierarchy, pushing the
+   deadlock path through the wheel's bank/MSHR buckets) *)
 let cfgs =
   [
     Cfg.default;
@@ -57,6 +59,12 @@ let cfgs =
     };
     { Cfg.default with Cfg.hierarchy = Cfg.Hierarchy Cfg.default_geom };
     { Cfg.default with Cfg.hierarchy = Cfg.Hierarchy starved_geom };
+    { Cfg.default with Cfg.vector_width = 2 };
+    {
+      Cfg.default with
+      Cfg.hierarchy = Cfg.Hierarchy Cfg.default_geom;
+      vector_width = 4;
+    };
     { Cfg.default with Cfg.request_fifo_capacity = 0 };
     {
       Cfg.default with
@@ -94,33 +102,47 @@ let pp_verdict ppf = function
 
 let verdict_t = Alcotest.testable pp_verdict ( = )
 
-(* One prepare of [kernel] per arch, replayed under both schedulers at
-   every configuration of [cfgs]. *)
-let check_kernel ~cfgs (k : Kernels.t) =
+(* One prepare — one compiled replay per invocation — of [kernel] per
+   arch, plus DAE over the kernel's natural N-way partition when
+   [nway], replayed under both schedulers at every configuration of
+   [cfgs], calendar first and again after the wheel: the replay carries
+   nothing from one run into the next. *)
+let check_kernel ?(nway = false) ~cfgs (k : Kernels.t) =
+  let partition () =
+    (Dae_analysis.Partition.analyze (k.Kernels.build ()))
+      .Dae_analysis.Partition.assignment
+  in
   List.iter
-    (fun arch ->
+    (fun (name, plan) ->
       let prepared =
-        R.prepare
-          (R.plan arch (k.Kernels.build ()))
-          ~invocations:(k.Kernels.invocations ())
+        R.prepare plan ~invocations:(k.Kernels.invocations ())
           ~mem:(k.Kernels.init_mem ())
       in
       List.iter
         (fun cfg ->
-          let label =
-            Fmt.str "%s/%s@%s" k.Kernels.name (M.arch_name arch) (Cfg.key cfg)
-          in
-          check verdict_t label
-            (verdict ~scheduler:Timing.Seed_calendar prepared cfg)
-            (verdict ~scheduler:Timing.Event_wheel prepared cfg))
+          let label = Fmt.str "%s/%s@%s" k.Kernels.name name (Cfg.key cfg) in
+          let calendar = verdict ~scheduler:Timing.Seed_calendar prepared cfg in
+          check verdict_t label calendar
+            (verdict ~scheduler:Timing.Event_wheel prepared cfg);
+          check verdict_t (label ^ " again") calendar
+            (verdict ~scheduler:Timing.Seed_calendar prepared cfg))
         cfgs)
-    archs
+    (List.map
+       (fun arch -> (M.arch_name arch, R.plan arch (k.Kernels.build ())))
+       archs
+    @
+    if nway then
+      [
+        ( "DAE#nway",
+          R.plan ~partition:(partition ()) M.Dae (k.Kernels.build ()) );
+      ]
+    else [])
 
 (* --- test-suite kernels: every arch, every config, both schedulers ------- *)
 
 let test_kernel name () =
   match Kernels.by_name (Kernels.test_suite ()) name with
-  | Some k -> check_kernel ~cfgs k
+  | Some k -> check_kernel ~nway:true ~cfgs k
   | None -> Alcotest.failf "kernel %s not in test suite" name
 
 (* --- paper-suite hist under the default cache hierarchy ------------------ *)
